@@ -18,7 +18,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::net::Ipv4Addr;
 
 use demi_bench::Table;
-use demi_memory::{counters, DemiBuffer};
+use demi_memory::DemiBuffer;
+use demi_telemetry::counters;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catnip_pair, host_ip};
 use net_stack::eth::{build_frame, EthHeader, EtherType, ETH_HEADER_LEN};
@@ -63,9 +64,9 @@ fn experiment_table() {
     );
     table.row(&[
         "catnip headroom prepend (measured)".into(),
-        format!("{:.2}", d.allocs as f64 / ROUNDS as f64),
-        format!("{:.2}", d.copies as f64 / ROUNDS as f64),
-        format!("{:.0}", d.bytes_copied as f64 / ROUNDS as f64),
+        format!("{:.2}", d.buffer_allocs as f64 / ROUNDS as f64),
+        format!("{:.2}", d.buffer_copies as f64 / ROUNDS as f64),
+        format!("{:.0}", d.buffer_bytes_copied as f64 / ROUNDS as f64),
     ]);
     // The legacy Vec chain is structural: UDP, IP, and Ethernet builders
     // each allocate a vector and re-copy header+payload, then the device
@@ -79,13 +80,13 @@ fn experiment_table() {
     table.print();
 
     assert_eq!(
-        d.allocs, ROUNDS,
+        d.buffer_allocs, ROUNDS,
         "zero-copy path: exactly one pool allocation per packet"
     );
-    assert_eq!(d.copies, 0, "zero-copy path: no payload copies");
+    assert_eq!(d.buffer_copies, 0, "zero-copy path: no payload copies");
     println!(
         "paper check: {} packets, {} allocs, {} payload bytes copied\n",
-        ROUNDS, d.allocs, d.bytes_copied
+        ROUNDS, d.buffer_allocs, d.buffer_bytes_copied
     );
 }
 

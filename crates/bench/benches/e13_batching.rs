@@ -19,10 +19,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use demi_bench::Table;
 use demi_memory::DemiBuffer;
+use demi_telemetry::counters::{BURST_BUCKETS, BURST_BUCKET_LABELS};
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catnip_pair, catnip_pair_with, host_ip};
 use demikernel::types::{QToken, Sga};
-use dpdk_sim::counters::BURST_BUCKET_LABELS;
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::tcp::State;
 use net_stack::types::SocketAddr;
@@ -39,7 +39,7 @@ struct BurstStats {
     /// Device handoffs per echo op, both hosts combined.
     tx_bursts_per_op: f64,
     /// Frames-per-burst histogram (buckets 1, 2-7, 8-31, 32+).
-    burst_hist: [u64; dpdk_sim::counters::BURST_BUCKETS],
+    burst_hist: [u64; BURST_BUCKETS],
 }
 
 /// Echoes `rounds` bursts of `depth` datagrams; `batched` toggles the TX

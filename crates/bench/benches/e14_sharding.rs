@@ -215,7 +215,7 @@ fn echo_rtt_with_idle(idle: usize, rounds: u32, trials: u32) -> IdleStats {
     a.udp_bind(9000).unwrap();
     echo_round(&fabric, &a, &b); // Warm ARP both ways.
 
-    let wheel_before = net_stack::counters::shard_snapshot();
+    let wheel_before = demi_telemetry::counters::snapshot();
     let mut best = f64::INFINITY;
     let mut virt_per_round = SimTime::ZERO;
     for _ in 0..trials {
@@ -229,7 +229,7 @@ fn echo_rtt_with_idle(idle: usize, rounds: u32, trials: u32) -> IdleStats {
             fabric.clock().now().saturating_since(virt0).as_nanos() / rounds as u64,
         );
     }
-    let timers_fired = net_stack::counters::shard_snapshot()
+    let timers_fired = demi_telemetry::counters::snapshot()
         .delta(&wheel_before)
         .timers_fired;
     IdleStats {

@@ -23,14 +23,13 @@
 //! The device-served echo RTT by payload size is written to
 //! `target/bench_e17.json` as a plottable artifact.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::Table;
 use demi_memory::DemiBuffer;
+use demi_telemetry::alloc::{self, CountingAlloc};
 use demi_telemetry::hist::Histogram;
 use demi_telemetry::loadgen::{Curve, CurvePoint};
 use demikernel::libos::catnip::Catnip;
@@ -46,21 +45,6 @@ use spdk_sim::ChainSpec;
 
 /// Counts every heap allocation so the in-place-rewrite claim is
 /// measured, not assumed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -290,11 +274,11 @@ fn assert_map_device_path_zero_alloc() {
     let mut frames: Vec<DemiBuffer> = (0..256)
         .map(|i| DemiBuffer::from_slice(&[i as u8; 64]))
         .collect();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for f in frames.iter_mut() {
-        nic.process_rx(f, SimTime::ZERO);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = alloc::measure(|| {
+        for f in frames.iter_mut() {
+            nic.process_rx(f, SimTime::ZERO);
+        }
+    });
     assert_eq!(allocs, 0, "Map must rewrite frames in place, not allocate");
     assert_eq!(
         nic.slot_stats()[0].copy_fallbacks,

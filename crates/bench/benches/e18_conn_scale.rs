@@ -25,17 +25,16 @@
 //! Results are written to `target/e18_conn_scale.json` as a plottable
 //! artifact.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::Table;
 use demi_memory::DemiBuffer;
+use demi_telemetry::alloc::{self, CountingAlloc};
+use demi_telemetry::counters;
 use demi_telemetry::hist::Histogram;
-use net_stack::counters as nsc;
 use net_stack::tcp::header::{TcpFlags, TcpHeader};
 use net_stack::tcp::{ConnId, ListenerId, SeqNum, State, TcpConfig, TcpPeer, TcpSegmentOut};
 use net_stack::types::SocketAddr;
@@ -43,21 +42,6 @@ use sim_fabric::SimTime;
 
 /// Counts every heap allocation so the zero-alloc claim is measured, not
 /// assumed.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -384,14 +368,14 @@ fn experiment() {
     // -- Phase 4: zero allocations on the warmed echo path. ------------
     // The sample connections are warm: queue boxes exist, scratch and
     // wheel slots are at capacity, payload handles are cloned not copied.
-    let conn_before = nsc::conn_snapshot();
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for op in 0..ZERO_ALLOC_OPS {
-        let (i, c, s) = sample[op % sample.len()];
-        world.echo_op(i, c, s, &payload);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    let conn_delta = nsc::conn_snapshot().delta(&conn_before);
+    let conn_before = counters::snapshot();
+    let allocs = alloc::measure(|| {
+        for op in 0..ZERO_ALLOC_OPS {
+            let (i, c, s) = sample[op % sample.len()];
+            world.echo_op(i, c, s, &payload);
+        }
+    });
+    let conn_delta = counters::snapshot().delta(&conn_before);
     assert_eq!(
         allocs, 0,
         "steady-state echo (send, demux, recv, echo, ACK ticks) must not allocate"
@@ -418,9 +402,9 @@ fn experiment() {
     // -- Phase 5: 10x SYN flood around the established flows. ----------
     let syn_bytes_before = world.server.mem_stats().syn_table_bytes;
     let live_before = world.server.conn_count();
-    let flood_before = nsc::conn_snapshot();
+    let flood_before = counters::snapshot();
     let p99_flood = measure_p99(&mut world, &sample, &payload, true);
-    let flood_delta = nsc::conn_snapshot().delta(&flood_before);
+    let flood_delta = counters::snapshot().delta(&flood_before);
     let flood_bound = ((p99_big as f64 * 2.0) as u64).max(p99_big + 4_000);
     assert!(
         p99_flood <= flood_bound,
@@ -461,10 +445,10 @@ fn experiment() {
         world.server.close(s, world.now).unwrap();
     }
     world.shuttle();
-    let tw = nsc::conn_snapshot();
+    let tw = counters::snapshot();
     // Ride past 2*MSL: every record expires and returns its port.
     world.advance_by(SimTime::from_millis(25));
-    let tw_delta = nsc::conn_snapshot().delta(&tw);
+    let tw_delta = counters::snapshot().delta(&tw);
     assert_eq!(
         tw_delta.tw_expired as usize, CHURN,
         "every TIME_WAIT record expires at 2*MSL"

@@ -25,10 +25,8 @@
 //! virtual time so coordinated omission cannot hide) produces the
 //! throughput–latency curve written to `target/e19_kv_server.json`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -37,7 +35,9 @@ use demi_kv::log::{apply, decode_batch};
 use demi_kv::resp::encode_command;
 use demi_kv::store::KvStore;
 use demi_kv::{KvConn, KvEngine, KvEngineConfig};
-use demi_memory::{counters as mem_counters, DemiBuffer, MemoryManager};
+use demi_memory::{DemiBuffer, MemoryManager};
+use demi_telemetry::alloc::{self, CountingAlloc};
+use demi_telemetry::counters;
 use demi_telemetry::hist::Histogram;
 use demi_telemetry::loadgen::{poisson_schedule, Curve, CurvePoint};
 use demikernel::libos::catfs::Catfs;
@@ -52,21 +52,6 @@ use spdk_sim::nvme::{NvmeConfig, NvmeDevice};
 /// Counts every heap allocation so "zero payload copies" is reported
 /// alongside the allocator traffic that remains (burst building, reply
 /// vectors) rather than conflated with it.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -556,22 +541,22 @@ fn experiment() {
         .iter()
         .map(|&(_, _, s)| world.conns[&s].parser_stats().reassembled_args)
         .sum();
-    let mem_before = mem_counters::snapshot();
-    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let mem_before = counters::snapshot();
     let mut cursor = 0usize;
-    for op in 0..ZC_BURSTS {
-        let (i, c, s) = sample[op % sample.len()];
-        let (b, e) = get_burst(DEPTH, &mut cursor);
-        world.kv_op(i, c, s, b, e);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let mem_delta = mem_counters::snapshot().delta(&mem_before);
+    let allocs = alloc::measure(|| {
+        for op in 0..ZC_BURSTS {
+            let (i, c, s) = sample[op % sample.len()];
+            let (b, e) = get_burst(DEPTH, &mut cursor);
+            world.kv_op(i, c, s, b, e);
+        }
+    });
+    let mem_delta = counters::snapshot().delta(&mem_before);
     let reasm_after: u64 = sample
         .iter()
         .map(|&(_, _, s)| world.conns[&s].parser_stats().reassembled_args)
         .sum();
     assert_eq!(
-        mem_delta.bytes_copied, 0,
+        mem_delta.buffer_bytes_copied, 0,
         "a warmed pipelined GET must move zero payload bytes \
          ({} copies seen)",
         mem_delta.copies
@@ -585,7 +570,7 @@ fn experiment() {
     table.row(&[
         "payload bytes copied".into(),
         format!("{ZC_BURSTS} GET bursts"),
-        format!("{}", mem_delta.bytes_copied),
+        format!("{}", mem_delta.buffer_bytes_copied),
         "=0".into(),
     ]);
     table.row(&[
@@ -664,7 +649,7 @@ fn experiment() {
          \"prepend_hits\": {},\n  \"prepend_fallbacks\": {},\n  \
          \"replayed_records\": {replayed},\n  \"recovered_keys\": {recovered},\n  \
          \"curve\": {}\n}}\n",
-        mem_delta.bytes_copied,
+        mem_delta.buffer_bytes_copied,
         allocs as f64 / ZC_BURSTS as f64,
         stats.commands,
         stats.bursts,
@@ -680,7 +665,7 @@ fn experiment() {
          {ZC_BURSTS} warmed GET bursts; p99 {p99_small}ns -> {p99_big}ns ({SMALL_CONNS} -> \
          {CONNS} conns); {recovered} keys replayed from {replayed} group commits\n\
          artifact: target/e19_kv_server.json ({} bytes)\n",
-        mem_delta.bytes_copied,
+        mem_delta.buffer_bytes_copied,
         json.len()
     );
 }

@@ -38,9 +38,9 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use demi_bench::Table;
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
+use demi_telemetry::counters;
 use demi_telemetry::hist::Histogram;
 use demi_tenant::{TenantId, TenantRegistry, TenantSpec};
-use net_stack::counters as nsc;
 use net_stack::tcp::State;
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig, TenancyCfg, TenantLaneStats};
@@ -368,7 +368,7 @@ fn experiment() {
     ]);
 
     // -- Phase 5: pool leak — exhaustion stays in the leaker's partition. --
-    let tenant_before = demi_tenant::counters::snapshot();
+    let tenant_before = counters::snapshot();
     let hpool = BufferPool::for_tenant(world.hostile, Some(POOL_BUDGET));
     let vpool = BufferPool::for_tenant(world.victim, Some(POOL_BUDGET));
     let mut leaked = Vec::new();
@@ -392,9 +392,7 @@ fn experiment() {
                 .expect("the victim pool is untouched by the neighbour's leak")
         })
         .collect();
-    let exhaustions = demi_tenant::counters::snapshot()
-        .delta(&tenant_before)
-        .pool_exhaustions;
+    let exhaustions = counters::snapshot().delta(&tenant_before).pool_exhaustions;
     assert!(exhaustions >= 1, "exhaustion is a counted isolation event");
     drop(victim_allocs);
     let leaked_count = leaked.len();
@@ -462,7 +460,7 @@ fn experiment() {
 
     // The spray: half-open SYNs at 4x the hostile listener's backlog. The
     // sprayer stops polling after emitting them so no handshake completes.
-    let conn_before = nsc::conn_snapshot();
+    let conn_before = counters::snapshot();
     let _sprayed: Vec<_> = demi_tenant::scope(hostile, || {
         (0..SYN_FLOOD)
             .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 81)).unwrap())
@@ -477,7 +475,7 @@ fn experiment() {
             break;
         }
     }
-    let syns_evicted = nsc::conn_snapshot().delta(&conn_before).syns_evicted;
+    let syns_evicted = counters::snapshot().delta(&conn_before).syns_evicted;
     assert_eq!(
         b.tcp_syn_backlog_used(81),
         SYN_BACKLOG,
@@ -510,7 +508,7 @@ fn experiment() {
     ]);
 
     // -- Phase 7: the hostile tenant never observes a victim byte. --
-    let denial_before = demi_tenant::counters::snapshot();
+    let denial_before = counters::snapshot();
     let mut secret = tenant_payload(&world.vpool, PAYLOAD, 0x5A);
     let mut observed = 0u32;
     demi_tenant::scope(world.hostile, || {
@@ -519,7 +517,7 @@ fn experiment() {
         observed += secret.try_mut().is_some() as u32;
         observed += secret.prepend(1).is_ok() as u32;
     });
-    let denials = demi_tenant::counters::snapshot()
+    let denials = counters::snapshot()
         .delta(&denial_before)
         .cross_tenant_denials;
     assert_eq!(observed, 0, "zero cross-tenant buffer views succeeded");

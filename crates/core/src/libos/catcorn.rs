@@ -26,6 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use demi_sched::Notify;
+use demi_telemetry::counters::{CONTROL_PATH_SYSCALLS, POPS, PUSHES};
 use net_stack::types::SocketAddr;
 use rdma_sim::{
     Completion, CqId, MrAccess, MrId, PdId, QpId, QpState, RdmaDevice, WcOpcode, WcStatus,
@@ -149,7 +150,7 @@ impl Core {
     /// rings (transparent registration, one control-path cost each) and
     /// pre-posts every receive slot (the buffer management RDMA demands).
     fn setup_conn(&self, qp: QpId) -> Rc<RefCell<Conn>> {
-        self.metrics.count_control_path_syscall();
+        self.metrics.count(CONTROL_PATH_SYSCALLS);
         let send_mr =
             self.device
                 .register_mr(self.pd, SLOT_SIZE * RING_SLOTS, MrAccess::LOCAL_ONLY);
@@ -374,7 +375,7 @@ impl LibOs for Catcorn {
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let conn = {
             let inner = self.inner.borrow();
             match inner.queues.get(&qd) {
@@ -472,7 +473,7 @@ impl LibOs for Catcorn {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let conn = {
             let inner = self.inner.borrow();
             match inner.queues.get(&qd) {

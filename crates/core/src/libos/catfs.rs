@@ -23,6 +23,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use demi_sched::Notify;
+use demi_telemetry::counters::{CONTROL_PATH_SYSCALLS, POPS, PUSHES};
 use sim_fabric::{DeviceCaps, SimClock};
 use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, QpairId, BLOCK_SIZE};
 
@@ -300,7 +301,7 @@ impl Catfs {
     /// by the walk length (device work is never free, just cheaper than
     /// N host crossings). Compare with [`Catfs::chase_host`].
     pub fn chase(&self, spec: spdk_sim::ChainSpec) -> QToken {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let core = self.core();
         self.runtime.spawn_op("catfs::chase", async move {
             let cmd_id = {
@@ -325,7 +326,7 @@ impl Catfs {
     /// N host crossings. E17's storage A/B measures this against
     /// [`Catfs::chase`].
     pub fn chase_host(&self, spec: spdk_sim::ChainSpec) -> QToken {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let core = self.core();
         self.runtime.spawn_op("catfs::chase_host", async move {
             let blocks = core.device.namespace_blocks();
@@ -440,7 +441,7 @@ impl LibOs for Catfs {
     }
 
     fn create(&self, path: &str) -> Result<QDesc, DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         let mut inner = self.inner.borrow_mut();
         if inner.logs.contains_key(path) {
             return Err(DemiError::Storage("log exists"));
@@ -454,7 +455,7 @@ impl LibOs for Catfs {
     }
 
     fn open(&self, path: &str) -> Result<QDesc, DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         let mut inner = self.inner.borrow_mut();
         let log = inner
             .logs
@@ -477,7 +478,7 @@ impl LibOs for Catfs {
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let log = {
             let inner = self.inner.borrow();
             inner
@@ -547,7 +548,7 @@ impl LibOs for Catfs {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         {
             let inner = self.inner.borrow();
             if !inner.queues.contains_key(&qd) {

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use demi_sched::{AsyncQueue, Notify};
+use demi_telemetry::counters::{POPS, PUSHES};
 
 use crate::libos::{LibOs, LibOsKind};
 use crate::runtime::Runtime;
@@ -99,7 +100,7 @@ impl LibOs for Catmem {
         if queue.closed.get() {
             return Err(DemiError::Closed);
         }
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let sga = sga.clone(); // Handle clone: zero-copy.
         Ok(self.runtime.spawn_op("catmem::push", async move {
             queue.items.push(sga);
@@ -110,7 +111,7 @@ impl LibOs for Catmem {
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
         let queue = self.get(qd)?;
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         Ok(self.runtime.spawn_op("catmem::pop", async move {
             loop {
                 // Snapshot before checking so a push/close landing between

@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
+use demi_telemetry::counters::{POPS, PUSHES};
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::framing::{encode_header, FrameDecoder};
 use net_stack::types::SocketAddr;
@@ -268,7 +269,7 @@ impl LibOs for Catnap {
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnapQueue::TcpConn { fd, .. }) => {
@@ -292,7 +293,7 @@ impl LibOs for Catnap {
     }
 
     fn pushto(&self, qd: QDesc, sga: &Sga, to: SocketAddr) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnapQueue::Udp { fd }) => {
@@ -313,7 +314,7 @@ impl LibOs for Catnap {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnapQueue::Udp { fd }) => {

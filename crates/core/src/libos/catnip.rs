@@ -22,6 +22,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use demi_memory::{DemiBuffer, MemoryManager};
+use demi_telemetry::counters::{BYTES_COPIED, CONTROL_PATH_SYSCALLS, COPIES, POPS, PUSHES};
 use dpdk_sim::{DpdkPort, NicProgram, PortConfig};
 use net_stack::framing::{encode_header, FrameDecoder};
 use net_stack::tcp::{ConnId, ListenerId, State};
@@ -180,7 +181,9 @@ impl Catnip {
         if sga.seg_count() == 1 {
             return sga.segments()[0].clone();
         }
-        self.runtime.metrics().count_copy(sga.len());
+        let metrics = self.runtime.metrics();
+        metrics.count(COPIES);
+        metrics.add(BYTES_COPIED, sga.len() as u64);
         let mut buf = self.memory.alloc(sga.len());
         let dst = buf.try_mut().expect("fresh buffer");
         let mut off = 0;
@@ -212,21 +215,21 @@ impl Catnip {
     /// local `port`: the device reflects complete framed messages
     /// without an RX→host→TX crossing.
     pub fn install_echo_offload(&self, port: u16) -> Result<(), DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         Ok(self.stack.install_echo_offload(port)?)
     }
 
     /// Installs a NIC-resident KV GET cache (bounded to `capacity_bytes`
     /// of device memory) for TCP connections on local `port`.
     pub fn install_kv_offload(&self, port: u16, capacity_bytes: usize) -> Result<(), DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         Ok(self.stack.install_kv_offload(port, capacity_bytes)?)
     }
 
     /// Uninstalls the TCP offload program, returning every flow to the
     /// pure host path mid-stream. Idempotent.
     pub fn uninstall_tcp_offload(&self) {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         self.stack.uninstall_tcp_offload();
     }
 
@@ -262,7 +265,7 @@ impl Catnip {
     /// framing header: each segment travels down the stack zero-copy as
     /// raw stream bytes. For self-delimiting protocols (RESP).
     pub fn push_unframed(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnipQueue::TcpConn { conn, .. }) => {
@@ -284,7 +287,7 @@ impl Catnip {
     /// zero-copy chunk per completion, no message framing. Blocks until
     /// at least one byte is available; fails `Closed` at clean EOF.
     pub fn pop_unframed(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnipQueue::TcpConn { conn, .. }) => {
@@ -334,7 +337,7 @@ impl LibOs for Catnip {
     }
 
     fn socket(&self, kind: SocketKind) -> Result<QDesc, DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         Ok(match kind {
             SocketKind::Udp => self.alloc_qd(CatnipQueue::UdpUnbound),
             SocketKind::Tcp => self.alloc_qd(CatnipQueue::TcpUnbound { bound: None }),
@@ -342,7 +345,7 @@ impl LibOs for Catnip {
     }
 
     fn bind(&self, qd: QDesc, addr: SocketAddr) -> Result<(), DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         let mut inner = self.inner.borrow_mut();
         match inner.queues.get_mut(&qd) {
             Some(q @ CatnipQueue::UdpUnbound) => {
@@ -363,7 +366,7 @@ impl LibOs for Catnip {
     }
 
     fn listen(&self, qd: QDesc, backlog: usize) -> Result<(), DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         let mut inner = self.inner.borrow_mut();
         match inner.queues.get_mut(&qd) {
             Some(q @ CatnipQueue::TcpUnbound { .. }) => {
@@ -475,7 +478,7 @@ impl LibOs for Catnip {
     }
 
     fn close(&self, qd: QDesc) -> Result<(), DemiError> {
-        self.runtime.metrics().count_control_path_syscall();
+        self.runtime.metrics().count(CONTROL_PATH_SYSCALLS);
         let mut inner = self.inner.borrow_mut();
         match inner.queues.remove(&qd) {
             Some(CatnipQueue::Udp { port, .. }) => {
@@ -496,7 +499,7 @@ impl LibOs for Catnip {
     }
 
     fn push(&self, qd: QDesc, sga: &Sga) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnipQueue::Udp { port, remote }) => {
@@ -528,7 +531,7 @@ impl LibOs for Catnip {
     }
 
     fn pushto(&self, qd: QDesc, sga: &Sga, to: SocketAddr) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_push();
+        self.runtime.metrics().count(PUSHES);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnipQueue::Udp { port, .. }) => {
@@ -545,7 +548,7 @@ impl LibOs for Catnip {
     }
 
     fn pop(&self, qd: QDesc) -> Result<QToken, DemiError> {
-        self.runtime.metrics().count_pop();
+        self.runtime.metrics().count(POPS);
         let inner = self.inner.borrow();
         match inner.queues.get(&qd) {
             Some(CatnipQueue::Udp { port, .. }) => {

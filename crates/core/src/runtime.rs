@@ -34,6 +34,9 @@ use std::future::Future;
 use std::rc::Rc;
 
 use demi_sched::{Notify, PollPolicy, Scheduler, TaskHandle, TimerService};
+use demi_telemetry::counters::{
+    COMPLETION_CHECKS, WAIT_PASSES, WAIT_POLLS, WAKEUPS, WAKEUPS_WITH_DATA,
+};
 use sim_fabric::{Fabric, SimClock, SimTime};
 
 use crate::metrics::Metrics;
@@ -460,9 +463,11 @@ impl Runtime {
             );
             demi_telemetry::span::finish(qt.0);
         }
-        self.inner
-            .metrics
-            .count_wakeup(matches!(result, OperationResult::Pop { .. }));
+        let metrics = &self.inner.metrics;
+        metrics.count(WAKEUPS);
+        if matches!(result, OperationResult::Pop { .. }) {
+            metrics.count(WAKEUPS_WITH_DATA);
+        }
         result
     }
 
@@ -472,7 +477,7 @@ impl Runtime {
     fn scan_ready(&self, wanted: &HashMap<QToken, usize>) -> Vec<(usize, QToken)> {
         self.inner
             .metrics
-            .count_completion_checks(wanted.len() as u64);
+            .add(COMPLETION_CHECKS, wanted.len() as u64);
         let completions = self.inner.completions.borrow();
         wanted
             .iter()
@@ -503,7 +508,7 @@ impl Runtime {
         }
         drop(completions);
         if checks > 0 {
-            self.inner.metrics.count_completion_checks(checks);
+            self.inner.metrics.add(COMPLETION_CHECKS, checks);
         }
         hit
     }
@@ -523,7 +528,8 @@ impl Runtime {
     ) -> Result<T, DemiError> {
         loop {
             let report = self.pump_report();
-            self.inner.metrics.count_wait_pass(report.polled as u64);
+            self.inner.metrics.count(WAIT_PASSES);
+            self.inner.metrics.add(WAIT_POLLS, report.polled as u64);
             let consumed = match step() {
                 WaitStep::Done(value) => return Ok(value),
                 WaitStep::Progress => true,

@@ -26,7 +26,8 @@
 
 use std::collections::VecDeque;
 
-use demi_memory::{counters, DemiBuffer, MemoryManager};
+use demi_memory::{DemiBuffer, MemoryManager};
+use demi_telemetry::counters;
 
 /// Longest accepted header line (`*<n>\r\n` / `$<len>\r\n`), generous.
 const MAX_LINE: usize = 32;
@@ -236,7 +237,7 @@ impl RespParser {
             }
         }
         debug_assert_eq!(need, 0, "availability checked by caller");
-        counters::note_copy(len);
+        counters::count_copy(len);
         self.consume(len);
         self.stats.reassembled_args += 1;
         DemiBuffer::from(bytes)

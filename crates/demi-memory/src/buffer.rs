@@ -24,8 +24,8 @@ use std::rc::{Rc, Weak};
 
 use demi_tenant::TenantId;
 
-use crate::counters;
 use crate::pool::{BufferPool, PoolInner};
+use demi_telemetry::counters::{self, BUFFER_ALLOCS, CROSS_TENANT_DENIALS};
 
 /// Why a [`DemiBuffer::prepend`] was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +248,7 @@ impl DemiBuffer {
         if demi_tenant::may_access(owner) {
             Ok(())
         } else {
-            demi_tenant::counters::note_cross_tenant_denial();
+            counters::count(CROSS_TENANT_DENIALS);
             Err(CrossTenantAccess {
                 owner,
                 accessor: demi_tenant::current(),
@@ -274,8 +274,8 @@ impl DemiBuffer {
     /// Counts one allocation and one copy of `data.len()` bytes toward the
     /// datapath counters — this constructor *is* a copy.
     pub fn from_slice(data: &[u8]) -> Self {
-        counters::note_alloc();
-        counters::note_copy(data.len());
+        counters::count(BUFFER_ALLOCS);
+        counters::count_copy(data.len());
         Self::new_handle(
             Rc::new(BufInner::from_box(data.to_vec().into_boxed_slice(), None)),
             0,
@@ -285,7 +285,7 @@ impl DemiBuffer {
 
     /// Creates an unpooled, zero-filled buffer of `len` bytes.
     pub fn zeroed(len: usize) -> Self {
-        counters::note_alloc();
+        counters::count(BUFFER_ALLOCS);
         Self::new_handle(
             Rc::new(BufInner::from_box(vec![0u8; len].into_boxed_slice(), None)),
             0,
@@ -296,7 +296,7 @@ impl DemiBuffer {
     /// Creates an unpooled, zero-filled buffer whose view starts `headroom`
     /// bytes in: `len` visible bytes with `headroom` bytes of prepend room.
     pub fn zeroed_with_headroom(headroom: usize, len: usize) -> Self {
-        counters::note_alloc();
+        counters::count(BUFFER_ALLOCS);
         Self::new_handle(
             Rc::new(BufInner::from_box(
                 vec![0u8; headroom + len].into_boxed_slice(),
@@ -350,7 +350,7 @@ impl DemiBuffer {
         // stamp even when the host supervisor performs the copy — TX
         // accounting keeps attributing the frame to its tenant.
         fresh.inner.tenant.set(self.inner.tenant.get());
-        counters::note_copy(self.len);
+        counters::count_copy(self.len);
         fresh
             .try_mut()
             .expect("freshly allocated buffer is exclusive")
@@ -368,7 +368,7 @@ impl DemiBuffer {
         tenant: TenantId,
     ) -> Self {
         debug_assert!(off + len <= storage.len());
-        counters::note_alloc();
+        counters::count(BUFFER_ALLOCS);
         Self::new_handle(
             Rc::new(BufInner::from_box_for(storage, Some(home), tenant)),
             off,
@@ -412,7 +412,7 @@ impl DemiBuffer {
     /// counters — calling this on the hot path is exactly the cost the
     /// zero-copy discipline avoids.
     pub fn to_vec(&self) -> Vec<u8> {
-        counters::note_copy(self.len);
+        counters::count_copy(self.len);
         self.as_slice().to_vec()
     }
 
@@ -687,7 +687,7 @@ impl From<Vec<u8>> for DemiBuffer {
     /// Takes ownership of the vector's storage — no byte copy. Counts one
     /// allocation (the vector's) toward the datapath counters.
     fn from(data: Vec<u8>) -> Self {
-        counters::note_alloc();
+        counters::count(BUFFER_ALLOCS);
         let len = data.len();
         Self::new_handle(
             Rc::new(BufInner::from_box(data.into_boxed_slice(), None)),
@@ -894,9 +894,9 @@ mod tests {
         assert_eq!(copy.as_slice(), b"payload");
         assert_eq!(copy.headroom(), 16);
         assert!(!copy.same_storage(&src));
-        assert_eq!(delta.allocs, 1);
-        assert_eq!(delta.copies, 1);
-        assert_eq!(delta.bytes_copied, 7);
+        assert_eq!(delta.buffer_allocs, 1);
+        assert_eq!(delta.buffer_copies, 1);
+        assert_eq!(delta.buffer_bytes_copied, 7);
         assert!(copy.prepend(16).is_ok());
     }
 
@@ -906,8 +906,8 @@ mod tests {
         let e = DemiBuffer::empty();
         let delta = counters::snapshot().delta(&before);
         assert!(e.is_empty());
-        assert_eq!(delta.allocs, 0);
-        assert_eq!(delta.copies, 0);
+        assert_eq!(delta.buffer_allocs, 0);
+        assert_eq!(delta.buffer_copies, 0);
     }
 
     #[test]
@@ -916,8 +916,8 @@ mod tests {
         let b = DemiBuffer::from(vec![1u8, 2, 3]);
         let delta = counters::snapshot().delta(&before);
         assert_eq!(b.as_slice(), &[1, 2, 3]);
-        assert_eq!(delta.allocs, 1);
-        assert_eq!(delta.bytes_copied, 0);
+        assert_eq!(delta.buffer_allocs, 1);
+        assert_eq!(delta.buffer_bytes_copied, 0);
     }
 
     #[test]
@@ -938,7 +938,7 @@ mod tests {
         let owner = TenantId(1);
         let thief = TenantId(2);
         let buf = demi_tenant::scope(owner, || DemiBuffer::from_slice(b"secret"));
-        let before = demi_tenant::counters::snapshot();
+        let before = counters::snapshot();
         demi_tenant::scope(thief, || {
             let denial = buf.try_clone().unwrap_err();
             assert_eq!((denial.owner, denial.accessor), (owner, thief));
@@ -953,7 +953,7 @@ mod tests {
                 }))
             );
         });
-        let d = demi_tenant::counters::snapshot().delta(&before);
+        let d = counters::snapshot().delta(&before);
         assert!(d.cross_tenant_denials >= 4, "every denial is counted");
         // The owner and the host supervisor still have full access.
         demi_tenant::scope(owner, || assert!(buf.try_clone().is_ok()));

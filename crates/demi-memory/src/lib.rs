@@ -31,13 +31,11 @@
 //!   never blocks another tenant's allocations.
 
 pub mod buffer;
-pub mod counters;
 pub mod manager;
 pub mod pool;
 pub mod registration;
 
 pub use buffer::{CrossTenantAccess, DemiBuffer, HeadroomError};
-pub use counters::DatapathSnapshot;
 pub use demi_tenant::TenantId;
 pub use manager::MemoryManager;
 pub use pool::{BufferPool, PoolExhausted, PoolStats, DEFAULT_HEADROOM, SIZE_CLASSES};

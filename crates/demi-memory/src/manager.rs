@@ -4,9 +4,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::buffer::DemiBuffer;
-use crate::counters;
 use crate::pool::{BufferPool, PoolStats, DEFAULT_HEADROOM};
 use crate::registration::{CountingRegistrar, RegionStats, Registrar};
+use demi_telemetry::counters;
 
 /// One memory manager per libOS instance (paper §4.5).
 ///
@@ -60,7 +60,7 @@ impl MemoryManager {
     /// Allocates and fills a buffer with `data` (a counted payload copy).
     pub fn alloc_from(&self, data: &[u8]) -> DemiBuffer {
         let mut buf = self.alloc(data.len());
-        counters::note_copy(data.len());
+        counters::count_copy(data.len());
         buf.try_mut()
             .expect("fresh buffer is exclusively owned")
             .copy_from_slice(data);

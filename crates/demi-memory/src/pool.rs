@@ -4,6 +4,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
+use demi_telemetry::counters::{self, POOL_EXHAUSTIONS};
 use demi_tenant::TenantId;
 
 use crate::buffer::{DemiBuffer, PoolHome};
@@ -210,7 +211,7 @@ impl BufferPool {
             // Oversized: dedicated allocation, registered on its own.
             if let Some(budget) = inner.budget_bytes {
                 if inner.stats.owned_bytes + total as u64 > budget {
-                    demi_tenant::counters::note_pool_exhaustion();
+                    counters::count(POOL_EXHAUSTIONS);
                     return Err(PoolExhausted { tenant });
                 }
             }
@@ -227,7 +228,7 @@ impl BufferPool {
 
         if inner.classes[class].free.is_empty() {
             if !Self::grow(&mut inner, class) {
-                demi_tenant::counters::note_pool_exhaustion();
+                counters::count(POOL_EXHAUSTIONS);
                 return Err(PoolExhausted { tenant });
             }
             inner.stats.cold_allocs += 1;
@@ -446,9 +447,9 @@ mod tests {
             .map(|_| pool.try_alloc(64).unwrap())
             .collect();
         assert!(held.iter().all(|b| b.tenant() == t));
-        let before = demi_tenant::counters::snapshot();
+        let before = counters::snapshot();
         assert_eq!(pool.try_alloc(64), Err(PoolExhausted { tenant: t }));
-        let d = demi_tenant::counters::snapshot().delta(&before);
+        let d = counters::snapshot().delta(&before);
         assert_eq!(d.pool_exhaustions, 1, "each refusal is counted");
         // Freeing recycles storage: exhaustion is recoverable.
         drop(held);

@@ -13,8 +13,11 @@
 //! histogram or span code, no allocation, no stamp capture.
 //!
 //! Layering:
-//! - [`counters`] — the shared thread-local counter/baseline-delta
-//!   pattern every sim crate's `counters.rs` is built on.
+//! - [`counters`] — the one counter registry: every exact count the
+//!   experiments assert on, one table row each, recorded into
+//!   thread-local slots and read as one `MetricsSnapshot`.
+//! - [`alloc`] — a thread-scoped counting allocator for zero-allocation
+//!   asserts.
 //! - [`hist`] — fixed-size log-bucketed histograms with quantile
 //!   extraction (HDR-style; exact counts, bounded relative error).
 //! - [`stage`] — a small registry of per-stage histograms (end-to-end op
@@ -28,6 +31,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+pub mod alloc;
 pub mod counters;
 pub mod hist;
 pub mod loadgen;

@@ -30,7 +30,6 @@ use std::sync::atomic::{AtomicU16, Ordering};
 use std::sync::Mutex;
 
 pub mod bucket;
-pub mod counters;
 
 pub use bucket::TokenBucket;
 

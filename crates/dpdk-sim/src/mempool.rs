@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use demi_memory::{
-    counters, BufferPool, DemiBuffer, PoolExhausted, PoolStats, RegionStats, Registrar, TenantId,
+    BufferPool, DemiBuffer, PoolExhausted, PoolStats, RegionStats, Registrar, TenantId,
 };
 
 use crate::mbuf::Mbuf;
@@ -95,7 +95,7 @@ impl Mempool {
     /// [`Mbuf`](crate::mbuf::Mbuf) instead).
     pub fn alloc_from(&self, frame: &[u8]) -> Mbuf {
         let mut mbuf = self.alloc(frame.len());
-        counters::note_copy(frame.len());
+        demi_telemetry::counters::count_copy(frame.len());
         mbuf.data
             .try_mut()
             .expect("fresh mbuf is exclusively owned")

@@ -5,6 +5,9 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
+use demi_telemetry::counters::{
+    self, RX_QUEUE_DROPPED, RX_QUEUE_ENQUEUED, TX_BURST_CALLS, TX_FRAMES_PER_BURST,
+};
 use sim_fabric::{DeviceCaps, Endpoint, Fabric, MacAddress};
 
 use crate::mbuf::Mbuf;
@@ -170,7 +173,8 @@ impl DpdkPort {
     pub fn tx_burst(&self, frames: &[Mbuf]) -> usize {
         let mut inner = self.inner.borrow_mut();
         inner.stats.tx_burst_calls += 1;
-        crate::counters::note_tx_burst(frames.len());
+        counters::count(TX_BURST_CALLS);
+        counters::count_at(TX_FRAMES_PER_BURST, counters::burst_bucket(frames.len()));
         // Attribute the doorbell to the op whose coroutine is being
         // polled (if any) — the device-handoff point of its span.
         if demi_telemetry::span::enabled() {
@@ -319,13 +323,13 @@ impl PortInner {
             if ring.len() >= self.config.rx_ring_size {
                 self.stats.rx_ring_drops += 1;
                 self.queue_stats[queue as usize].dropped += 1;
-                crate::counters::note_rx_dropped(queue);
+                counters::count_at(RX_QUEUE_DROPPED, queue as usize);
                 continue;
             }
             self.stats.rx_frames += 1;
             self.stats.rx_bytes += data.len() as u64;
             self.queue_stats[queue as usize].enqueued += 1;
-            crate::counters::note_rx_enqueued(queue);
+            counters::count_at(RX_QUEUE_ENQUEUED, queue as usize);
             let mut mbuf = Mbuf::from_data(data);
             mbuf.rx_timestamp = frame.delivered_at;
             mbuf.rss_hash = hash;
@@ -365,7 +369,7 @@ impl PortInner {
                 if ring.len() >= self.config.rx_ring_size {
                     self.stats.rx_ring_drops += 1;
                     self.queue_stats[q].dropped += 1;
-                    crate::counters::note_rx_dropped(q as u16);
+                    counters::count_at(RX_QUEUE_DROPPED, q);
                     continue;
                 }
                 let hash = crate::rss::hash_frame(&bytes);
@@ -373,7 +377,7 @@ impl PortInner {
                 self.stats.rx_frames += 1;
                 self.stats.rx_bytes += data.len() as u64;
                 self.queue_stats[q].enqueued += 1;
-                crate::counters::note_rx_enqueued(q as u16);
+                counters::count_at(RX_QUEUE_ENQUEUED, q);
                 let mut mbuf = Mbuf::from_data(data);
                 mbuf.rss_hash = hash;
                 mbuf.queue = q as u16;

@@ -20,6 +20,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use demi_memory::DemiBuffer;
+use demi_telemetry::counters::{
+    self, NIC_SLOT_CYCLES, NIC_SLOT_DROPS, NIC_SLOT_FRAMES, NIC_SLOT_SERVED,
+};
 use sim_fabric::SimTime;
 
 use crate::offload::{OffloadAction, TcpOffload};
@@ -216,6 +219,7 @@ impl SmartNic {
             };
             let slot = &mut self.slot_stats[i];
             slot.frames += 1;
+            counters::count_at(NIC_SLOT_FRAMES, i);
             match program {
                 NicProgram::Filter {
                     predicate,
@@ -223,11 +227,11 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
+                    counters::add_at(NIC_SLOT_CYCLES, i, cycles_per_frame);
                     if !predicate(frame.as_slice()) {
                         self.stats.frames_filtered += 1;
                         slot.drops += 1;
-                        crate::counters::note_slot_drop(i);
+                        counters::count_at(NIC_SLOT_DROPS, i);
                         return RxDecision::Drop;
                     }
                 }
@@ -237,7 +241,7 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
+                    counters::add_at(NIC_SLOT_CYCLES, i, cycles_per_frame);
                     if let Some(q) = selector(frame.as_slice()) {
                         queue = Some(q);
                     }
@@ -248,7 +252,7 @@ impl SmartNic {
                 } => {
                     self.stats.device_cycles += cycles_per_frame;
                     slot.cycles += cycles_per_frame;
-                    crate::counters::note_slot_exec(i, cycles_per_frame);
+                    counters::add_at(NIC_SLOT_CYCLES, i, cycles_per_frame);
                     match frame.try_mut() {
                         Some(bytes) => transform(bytes),
                         None => {
@@ -267,18 +271,18 @@ impl SmartNic {
                     let outcome = engine.borrow_mut().process(frame.as_slice(), now);
                     self.stats.device_cycles += outcome.cycles;
                     slot.cycles += outcome.cycles;
-                    crate::counters::note_slot_exec(i, outcome.cycles);
+                    counters::add_at(NIC_SLOT_CYCLES, i, outcome.cycles);
                     if outcome.served {
                         self.stats.frames_served += 1;
                         slot.served += 1;
-                        crate::counters::note_slot_served(i);
+                        counters::count_at(NIC_SLOT_SERVED, i);
                     }
                     match outcome.action {
                         OffloadAction::Deliver => {}
                         OffloadAction::Absorb => {
                             self.stats.frames_absorbed += 1;
                             slot.drops += 1;
-                            crate::counters::note_slot_drop(i);
+                            counters::count_at(NIC_SLOT_DROPS, i);
                             self.tx.extend(engine.borrow_mut().take_tx());
                             return RxDecision::Absorb;
                         }
@@ -408,12 +412,12 @@ mod tests {
         })
         .unwrap();
         let mut frame = buf(&[1, 2, 3, 4]);
-        let before = demi_memory::counters::snapshot();
+        let before = counters::snapshot();
         nic.process_rx(&mut frame, SimTime::ZERO);
-        let d = demi_memory::counters::snapshot().delta(&before);
+        let d = counters::snapshot().delta(&before);
         assert_eq!(frame.as_slice(), &[4, 3, 2, 1]);
-        assert_eq!(d.allocs, 0, "in-place map must not allocate");
-        assert_eq!(d.copies, 0, "in-place map must not copy");
+        assert_eq!(d.buffer_allocs, 0, "in-place map must not allocate");
+        assert_eq!(d.buffer_copies, 0, "in-place map must not copy");
         assert_eq!(nic.slot_stats()[0].copy_fallbacks, 0);
     }
 
@@ -427,16 +431,16 @@ mod tests {
         .unwrap();
         let original = buf(&[1, 2, 3, 4]);
         let mut frame = original.clone(); // shared: sender still holds it
-        let before = demi_memory::counters::snapshot();
+        let before = counters::snapshot();
         nic.process_rx(&mut frame, SimTime::ZERO);
-        let d = demi_memory::counters::snapshot().delta(&before);
+        let d = counters::snapshot().delta(&before);
         assert_eq!(frame.as_slice(), &[4, 3, 2, 1]);
         assert_eq!(
             original.as_slice(),
             &[1, 2, 3, 4],
             "sender's bytes untouched"
         );
-        assert!(d.copies >= 1, "shared storage forces a counted copy");
+        assert!(d.buffer_copies >= 1, "shared storage forces a counted copy");
         assert_eq!(nic.slot_stats()[0].copy_fallbacks, 1);
     }
 

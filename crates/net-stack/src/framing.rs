@@ -16,7 +16,8 @@
 
 use std::collections::VecDeque;
 
-use demi_memory::{counters, DemiBuffer, HeadroomError};
+use demi_memory::{DemiBuffer, HeadroomError};
+use demi_telemetry::counters;
 
 use crate::types::NetError;
 
@@ -179,7 +180,7 @@ impl FrameDecoder {
         }
         // Slow path: the message spans chunks; reassemble into one buffer.
         self.stats.reassembly_copies += 1;
-        counters::note_copy(len);
+        counters::count_copy(len);
         let mut out = DemiBuffer::zeroed(len);
         let dst = out.try_mut().expect("fresh buffer is exclusive");
         let mut filled = 0;

@@ -152,11 +152,14 @@ mod tests {
         let packet = DemiBuffer::from(echo(true, b"ping").serialize());
         let parsed = IcmpEcho::parse(&packet).unwrap();
         drop(packet);
-        let before = demi_memory::counters::snapshot();
+        let before = demi_telemetry::counters::snapshot();
         let reply = parsed.reply().into_packet(0);
-        let delta = demi_memory::counters::snapshot().delta(&before);
-        assert_eq!(delta.allocs, 0, "in-place header rewrite, no new buffer");
-        assert_eq!(delta.copies, 0, "no payload copy");
+        let delta = demi_telemetry::counters::snapshot().delta(&before);
+        assert_eq!(
+            delta.buffer_allocs, 0,
+            "in-place header rewrite, no new buffer"
+        );
+        assert_eq!(delta.buffer_copies, 0, "no payload copy");
         let parsed_reply = IcmpEcho::parse(&reply).unwrap();
         assert!(!parsed_reply.is_request);
         assert_eq!(parsed_reply.payload.as_slice(), b"ping");

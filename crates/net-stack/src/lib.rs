@@ -33,7 +33,6 @@
 
 pub mod arp;
 pub mod checksum;
-pub mod counters;
 pub mod eth;
 pub mod fasthash;
 pub mod framing;

@@ -20,6 +20,7 @@
 use std::net::Ipv4Addr;
 
 use demi_sched::spsc::{self, Consumer, Producer};
+use demi_telemetry::counters::{self, HANDOFF_BACKPRESSURE, HANDOFF_DROPPED};
 use sim_fabric::MacAddress;
 
 /// One message between shards. Everything in here is `Send` by value —
@@ -87,8 +88,8 @@ impl ShardRings {
             Err(_) => {
                 self.stats.backpressure += 1;
                 self.stats.dropped += 1;
-                crate::counters::note_handoff_backpressure();
-                crate::counters::note_handoff_dropped();
+                counters::count(HANDOFF_BACKPRESSURE);
+                counters::count(HANDOFF_DROPPED);
                 false
             }
         }

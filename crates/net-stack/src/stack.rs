@@ -42,7 +42,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use demi_memory::{DemiBuffer, TenantId};
-use demi_tenant::{counters as tenant_counters, TenantRegistry, TokenBucket};
+use demi_telemetry::counters::{
+    self, CROSS_TENANT_DENIALS, HANDOFF_BACKPRESSURE, HANDOFF_DROPPED, QUOTA_DROPS,
+    RATE_LIMITED_FRAMES, RX_BUDGET_EXHAUSTED, STEERING_MISMATCHES, TX_DEFICIT_ROUNDS,
+};
+use demi_tenant::{TenantRegistry, TokenBucket};
 use dpdk_sim::{
     rss, DpdkPort, FlowKey, FlowShadow, Mbuf, NicProgram, OffloadEvent, OffloadService,
     OffloadStats, ProgramSlot, TcpOffload,
@@ -842,7 +846,7 @@ impl NetworkStack {
         };
         let t = demi_tenant::current();
         if !tcfg.registry.may_bind(t, port) {
-            tenant_counters::note_cross_tenant_denial();
+            counters::count(CROSS_TENANT_DENIALS);
             return Err(NetError::TenantDenied(port));
         }
         Ok(Some(tcfg.registry.port_owner(port)))
@@ -1379,7 +1383,7 @@ impl Shard {
                 .map(|&q| self.port.rx_pending(q))
                 .sum::<usize>();
         if processed >= budget && backlog > 0 {
-            crate::counters::note_rx_budget_exhausted();
+            counters::count(RX_BUDGET_EXHAUSTED);
         }
         backlog
     }
@@ -1406,8 +1410,8 @@ impl Shard {
         if self.handoff.len() >= self.config.handoff_capacity {
             self.shard_stats.handoff_backpressure += 1;
             self.shard_stats.handoff_dropped += 1;
-            crate::counters::note_handoff_backpressure();
-            crate::counters::note_handoff_dropped();
+            counters::count(HANDOFF_BACKPRESSURE);
+            counters::count(HANDOFF_DROPPED);
             return;
         }
         self.handoff.push_back(mbuf);
@@ -1426,7 +1430,7 @@ impl Shard {
             if let Some(world) = rss::flow_queue_for_frame(mbuf.as_slice(), gtotal) {
                 if world as usize != gidx as usize {
                     self.shard_stats.steering_mismatches += 1;
-                    crate::counters::note_steering_mismatch();
+                    counters::count(STEERING_MISMATCHES);
                     self.ext_forwards
                         .push((world as usize, mbuf.as_slice().to_vec()));
                     return;
@@ -1437,7 +1441,7 @@ impl Shard {
             let owner = rss::queue_for_frame(mbuf.as_slice(), self.num_shards as u16) as usize;
             if owner != self.index {
                 self.shard_stats.steering_mismatches += 1;
-                crate::counters::note_steering_mismatch();
+                counters::count(STEERING_MISMATCHES);
                 self.forwards.push((owner, mbuf));
                 return;
             }
@@ -1463,7 +1467,7 @@ impl Shard {
         };
         if ten.rx_used[idx] >= ten.rx_slice[idx] {
             ten.lanes[idx].stats.rx_quota_drops += 1;
-            tenant_counters::note_quota_drop();
+            counters::count(QUOTA_DROPS);
             return false;
         }
         ten.rx_used[idx] += 1;
@@ -1876,7 +1880,7 @@ impl Shard {
                     // The flooding tenant's own frame drops at its own
                     // bound — the shared ring never sees the overflow.
                     lane.stats.quota_drops += 1;
-                    tenant_counters::note_quota_drop();
+                    counters::count(QUOTA_DROPS);
                     return;
                 }
                 lane.staging.push_back(Mbuf::from_data(frame));
@@ -1937,7 +1941,7 @@ impl Shard {
         let mut skip_credit = std::mem::take(&mut ten.resume_mid_round);
         'fill: loop {
             let mut progressed = false;
-            tenant_counters::note_tx_deficit_round();
+            counters::count(TX_DEFICIT_ROUNDS);
             for off in 0..nlanes {
                 let idx = (ten.next_lane + off) % nlanes;
                 let lane = &mut ten.lanes[idx];
@@ -1985,7 +1989,7 @@ impl Shard {
                 if deferred {
                     lane.deficit = 0;
                     lane.stats.rate_deferrals += 1;
-                    tenant_counters::note_rate_limited_frame();
+                    counters::count(RATE_LIMITED_FRAMES);
                 }
                 if lane.staging.is_empty() {
                     lane.deficit = 0;

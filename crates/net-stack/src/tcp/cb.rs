@@ -20,6 +20,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demi_telemetry::counters::{self, ACKS_COALESCED, TCB_QUEUE_ALLOCS, TCB_QUEUE_RELEASES};
 use sim_fabric::SimTime;
 
 use crate::types::{NetError, SocketAddr};
@@ -314,7 +315,7 @@ impl ControlBlock {
     #[inline]
     fn q(&mut self) -> &mut CbQueues {
         if self.q.is_none() {
-            crate::counters::note_tcb_queues_allocated();
+            counters::count(TCB_QUEUE_ALLOCS);
             self.q = Some(Box::default());
         }
         self.q.as_mut().expect("just ensured").as_mut()
@@ -350,7 +351,7 @@ impl ControlBlock {
         }
         let freed = self.qr().map_or(0, CbQueues::heap_bytes);
         self.q = None;
-        crate::counters::note_tcb_queues_released();
+        counters::count(TCB_QUEUE_RELEASES);
         freed
     }
 
@@ -1084,7 +1085,7 @@ impl ControlBlock {
             self.delayed_ack_pending = false;
             self.delayed_ack_deadline = None;
             self.stats.acks_coalesced += 1;
-            crate::counters::note_ack_coalesced();
+            counters::count(ACKS_COALESCED);
         }
         let seg = TcpSegmentOut {
             header: TcpHeader {

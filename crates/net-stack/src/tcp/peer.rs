@@ -27,6 +27,10 @@ use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demi_telemetry::counters::{
+    self, DEMUX_CACHE_HITS, DEMUX_LOOKUPS, OUTBOX_SCRATCH_GROWS, QUOTA_DROPS, SYNS_EVICTED,
+    TIMERS_FIRED, TIMERS_SCHEDULED, TIMERS_STALE, TW_DEMOTED, TW_EXPIRED, TW_REACKS,
+};
 use sim_fabric::SimTime;
 
 use crate::fasthash::{flow_key, FastHashMap};
@@ -481,7 +485,7 @@ impl TcpPeer {
                             gen: e.timers.gen[kind],
                         },
                     );
-                    crate::counters::note_timer_scheduled();
+                    counters::count(TIMERS_SCHEDULED);
                 }
             }
         }
@@ -863,7 +867,7 @@ impl TcpPeer {
                 self.released_ports.push(rec.local_port);
             }
             self.tw_uncharge(tenant);
-            demi_tenant::counters::note_quota_drop();
+            counters::count(QUOTA_DROPS);
             return true;
         }
     }
@@ -943,8 +947,8 @@ impl TcpPeer {
                 gen: 0,
             },
         );
-        crate::counters::note_timer_scheduled();
-        crate::counters::note_tw_demoted();
+        counters::count(TIMERS_SCHEDULED);
+        counters::count(TW_DEMOTED);
     }
 
     /// Handles a segment matching a TIME_WAIT record, reproducing the
@@ -993,8 +997,8 @@ impl TcpPeer {
             };
             self.raw_out.push(reply);
             self.wheel.schedule(expiry, timer_key);
-            crate::counters::note_timer_scheduled();
-            crate::counters::note_tw_reack();
+            counters::count(TIMERS_SCHEDULED);
+            counters::count(TW_REACKS);
         }
         // Late data or ACKs: absorbed without response, exactly like the
         // full control block's TIME_WAIT arm.
@@ -1018,7 +1022,7 @@ impl TcpPeer {
             self.released_ports.push(rec.local_port);
         }
         self.tw_uncharge(rec.tenant);
-        crate::counters::note_tw_expired();
+        counters::count(TW_EXPIRED);
         true
     }
 
@@ -1035,10 +1039,10 @@ impl TcpPeer {
         now: SimTime,
     ) {
         let key = flow_key(hdr.dst_port, src_ip, hdr.src_port);
-        crate::counters::note_demux_lookup();
+        counters::count(DEMUX_LOOKUPS);
         let hit = match self.last_demux {
             Some((k, slot)) if k == key => {
-                crate::counters::note_demux_cache_hit();
+                counters::count(DEMUX_CACHE_HITS);
                 Some(slot)
             }
             _ => {
@@ -1198,7 +1202,7 @@ impl TcpPeer {
                     .expect("table non-empty")
                     .0;
                 self.stats.syns_evicted += 1;
-                crate::counters::note_syn_evicted();
+                counters::count(SYNS_EVICTED);
                 oldest
             }
         };
@@ -1316,10 +1320,10 @@ impl TcpPeer {
         for &(_, tkey) in &due {
             if tkey.kind == TW_KIND {
                 if self.expire_tw(tkey.conn.0, tkey.gen) {
-                    crate::counters::note_timer_fired();
+                    counters::count(TIMERS_FIRED);
                     events += 1;
                 } else {
-                    crate::counters::note_timer_stale();
+                    counters::count(TIMERS_STALE);
                 }
                 continue;
             }
@@ -1329,10 +1333,10 @@ impl TcpPeer {
                     .then_some(slot)
             });
             let Some(slot) = live_slot else {
-                crate::counters::note_timer_stale();
+                counters::count(TIMERS_STALE);
                 continue;
             };
-            crate::counters::note_timer_fired();
+            counters::count(TIMERS_FIRED);
             // Consume the slot before ticking: the control block decides
             // what stays armed, and sync_slot below re-schedules whatever
             // it reports (e.g. the RTO re-arms itself after a timeout).
@@ -1414,7 +1418,7 @@ impl TcpPeer {
                 })
             };
             if !live {
-                crate::counters::note_timer_stale();
+                counters::count(TIMERS_STALE);
             }
             live
         })
@@ -1447,7 +1451,7 @@ impl TcpPeer {
             self.active_set.clear();
         }
         if out.capacity() > cap_before {
-            crate::counters::note_outbox_scratch_grow();
+            counters::count(OUTBOX_SCRATCH_GROWS);
         }
     }
 

@@ -30,7 +30,8 @@
 # property).
 verify:
     cargo build --release
-    cargo test -q
+    cargo test -q --no-fail-fast
+    cargo test --workspace -q --no-fail-fast
     cargo test --release -q --test zero_copy_memory
     cargo test --release -q --test batching
     cargo test --release -q --test sharding
@@ -42,12 +43,12 @@ verify:
     cargo test --release -q --test kv
     cargo test --release -q --test tenant
     cargo fmt --check
-    cargo clippy -- -D warnings
+    cargo clippy --workspace --all-targets -- -D warnings
 
 # Everything `verify` checks, across the whole workspace.
 verify-all:
     cargo build --workspace --release
-    cargo test --workspace -q
+    cargo test --workspace -q --no-fail-fast
     DEMI_EXEC_MODE=threads cargo test -q
     cargo test --release -q --test zero_copy_memory
     cargo test --release -q --test batching

@@ -17,8 +17,8 @@
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demi_telemetry::counters;
 use dpdk_sim::{DpdkPort, PortConfig};
-use net_stack::counters as nsc;
 use net_stack::tcp::header::{TcpFlags, TcpHeader};
 use net_stack::tcp::{SeqNum, State, TcpConfig, TcpPeer};
 use net_stack::types::SocketAddr;
@@ -190,7 +190,7 @@ fn syn_flood_memory_stays_bounded_by_the_backlog() {
     let mut server = TcpPeer::new(ip(2), TcpConfig::default());
     server.listen(80, backlog).unwrap();
     let table_before = server.mem_stats().syn_table_bytes;
-    let before = nsc::conn_snapshot();
+    let before = counters::snapshot();
     for i in 0..flood as u32 {
         let syn = TcpHeader {
             src_port: 1_024 + (i % 60_000) as u16,
@@ -204,7 +204,7 @@ fn syn_flood_memory_stays_bounded_by_the_backlog() {
         // Distinct source hosts so every SYN is a distinct flow.
         server.on_segment(ip(3 + (i % 200) as u8), &syn, DemiBuffer::empty(), now);
     }
-    let evicted = nsc::conn_snapshot().delta(&before).syns_evicted;
+    let evicted = counters::snapshot().delta(&before).syns_evicted;
     assert_eq!(server.conn_count(), 0, "no TCB before handshake completion");
     assert_eq!(
         server.mem_stats().syn_table_bytes,
@@ -368,11 +368,11 @@ fn steady_state_echo_allocates_no_queue_boxes_and_never_grows_scratch() {
     for _ in 0..10 {
         round();
     }
-    let before = nsc::conn_snapshot();
+    let before = counters::snapshot();
     for _ in 0..30 {
         round();
     }
-    let delta = nsc::conn_snapshot().delta(&before);
+    let delta = counters::snapshot().delta(&before);
     assert_eq!(
         delta.tcb_queue_allocs, 0,
         "steady-state echo must reuse warm queue boxes"

@@ -12,7 +12,8 @@ use demi_kv::log::{apply, decode_batch};
 use demi_kv::resp::encode_command;
 use demi_kv::store::{CacheMirror, KvStore};
 use demi_kv::{DrainResult, KvConn, KvEngine, KvEngineConfig};
-use demi_memory::{counters as mem_counters, DemiBuffer};
+use demi_memory::DemiBuffer;
+use demi_telemetry::counters;
 use demikernel::libos::catfs::Catfs;
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::{LibOs, SocketKind};
@@ -259,11 +260,11 @@ fn warmed_get_burst_is_zero_copy_and_coalesced() {
         for seg in rsga.segments() {
             conn.feed(seg.clone());
         }
-        let before = mem_counters::snapshot();
+        let before = counters::snapshot();
         let r = eng.drain(&mut conn, rt.now());
-        let d = mem_counters::snapshot().delta(&before);
-        drain_copies += d.copies;
-        drain_bytes += d.bytes_copied;
+        let d = counters::snapshot().delta(&before);
+        drain_copies += d.buffer_copies;
+        drain_bytes += d.buffer_bytes_copied;
         assert_eq!(r.depth, DEPTH);
         assert!(
             r.immediate.len() <= 2 * DEPTH + 1,

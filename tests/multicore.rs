@@ -23,7 +23,7 @@ use demikernel::exec::{ExecMode, ShardSpec};
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catnip_shard_world, host_ip, host_mac};
 use demikernel::types::{QDesc, Sga};
-use demikernel::{run_shards, MetricsSnapshot};
+use demikernel::{run_shards, Metrics, MetricsSnapshot};
 use dpdk_sim::{rss, DpdkPort, PortConfig};
 use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, ShardMsg, StackConfig};
@@ -267,6 +267,7 @@ fn handoff_overflow_drops_counted_and_stack_survives() {
     for i in 0..8u8 {
         assert!(test_end.send(1, ShardMsg::Frame(vec![i; 60])));
     }
+    let metrics = Metrics::new();
     stack.poll();
     let s = stack.shard_stats(0);
     assert_eq!(
@@ -274,6 +275,10 @@ fn handoff_overflow_drops_counted_and_stack_survives() {
         "kept the bound, dropped the excess: {s:?}"
     );
     assert!(s.handoff_backpressure >= 6);
+    // The registry sees the same drops, so a merged hub reports them too.
+    let m = metrics.snapshot();
+    assert_eq!(m.handoff_dropped, 6, "{m:?}");
+    assert!(m.handoff_backpressure >= 6, "{m:?}");
 
     // The stack still serves traffic afterward — on a flow whose tuple
     // homes to this world (global index 1 of 2).

@@ -348,12 +348,12 @@ fn idle_connections_do_not_tick_timers() {
     // Let every delayed-ACK and handshake timer drain.
     settle(&fabric, &[&a, &b], || false);
 
-    let before = net_stack::counters::shard_snapshot();
+    let before = demi_telemetry::counters::snapshot();
     for _ in 0..100 {
         a.poll();
         b.poll();
     }
-    let moved = net_stack::counters::shard_snapshot().delta(&before);
+    let moved = demi_telemetry::counters::snapshot().delta(&before);
     assert_eq!(moved.timers_fired, 0, "idle connections fire nothing");
     assert_eq!(moved.timers_scheduled, 0, "and schedule nothing");
 }

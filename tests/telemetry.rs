@@ -4,33 +4,18 @@
 //! bounded, quantiles stay within one log-bucket of exact, and the
 //! scaled-down tail-latency claims hold in debug builds.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use demi_bench::loadgen::{closed_loop, open_loop};
+use demi_telemetry::alloc::{self, CountingAlloc};
+use demi_telemetry::counters::{self, Counter, ROWS, RX_QUEUE_ENQUEUED, RX_QUEUE_SLOTS};
 use demi_telemetry::hist::{bucket_index, Histogram};
 use demi_telemetry::span::{self, SpanPoint};
 use demi_telemetry::stage::{self, Stage};
 use demikernel::testing::{catnap_pair, catnip_pair};
+use demikernel::Metrics;
 use proptest::prelude::*;
 
-/// Counts heap allocations so the zero-alloc claim is measured here too,
-/// not only in the release bench.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
+/// Counts the test thread's heap allocations so the zero-alloc claim is
+/// measured here too, not only in the release bench.
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
@@ -135,17 +120,29 @@ fn span_ring_stays_bounded() {
 fn recording_a_sample_never_allocates() {
     demi_telemetry::set_enabled(true);
     let mut h = Box::new(Histogram::new());
+    let metrics = Metrics::new();
     h.record(1);
     stage::record(Stage::SchedPollLag, 1);
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 1..=50_000u64 {
-        h.record(i * 37);
-        stage::record(Stage::SchedPollLag, i);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = alloc::measure(|| {
+        for i in 1..=50_000u64 {
+            h.record(i * 37);
+            stage::record(Stage::SchedPollLag, i);
+        }
+        // Every counter registry row, and one indexed row past its end.
+        for &(_, row) in ROWS {
+            match row {
+                Counter::Thread(c) => counters::count(c),
+                Counter::Instance(c) => metrics.count(c),
+            }
+        }
+        counters::count_at(RX_QUEUE_ENQUEUED, RX_QUEUE_SLOTS + 3);
+    });
     demi_telemetry::set_enabled(false);
     stage::reset();
     assert_eq!(allocs, 0, "sample path allocated {allocs} times");
+    let m = metrics.snapshot();
+    assert_eq!((m.pushes, m.tw_reacks), (1, 1));
+    assert_eq!(m.rx_queue_enqueued[RX_QUEUE_SLOTS - 1], 1);
 }
 
 #[test]

@@ -25,9 +25,9 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use demi_memory::{BufferPool, DemiBuffer, DEFAULT_HEADROOM};
+use demi_telemetry::counters;
 use demi_tenant::{RateLimit, TenantId, TenantRegistry, TenantSpec};
 use dpdk_sim::{DpdkPort, PortConfig};
-use net_stack::counters as nsc;
 use net_stack::tcp::State;
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::{NetworkStack, StackConfig, TenancyCfg};
@@ -113,7 +113,7 @@ fn port_ownership_gates_bind_and_listen() {
     registry.grant_port(alice, 8080);
     let a = tenant_host(&fabric, 1, TenancyCfg::new(Arc::clone(&registry)));
 
-    let before = demi_tenant::counters::snapshot();
+    let before = counters::snapshot();
     demi_tenant::scope(bob, || {
         // Bob may not take Alice's port over either protocol...
         assert_eq!(
@@ -134,7 +134,7 @@ fn port_ownership_gates_bind_and_listen() {
     demi_tenant::scope(alice, || {
         a.tcp_listen(8080, 8).unwrap();
     });
-    let denied = demi_tenant::counters::snapshot().delta(&before);
+    let denied = counters::snapshot().delta(&before);
     assert!(
         denied.cross_tenant_denials >= 4,
         "every refusal is a counted isolation event, got {}",
@@ -160,7 +160,7 @@ fn tx_lane_quota_drops_overflow_at_the_lane() {
 
     demi_tenant::scope(t, || a.udp_bind(7000).unwrap());
     let pool = BufferPool::for_tenant(t, None);
-    let before = demi_tenant::counters::snapshot();
+    let before = counters::snapshot();
     for _ in 0..10 {
         let payload = tenant_payload(&pool, 64, 0xF1);
         a.udp_sendto(7000, SocketAddr::new(ip(2), 7000), payload)
@@ -172,7 +172,7 @@ fn tx_lane_quota_drops_overflow_at_the_lane() {
     assert_eq!(lane.quota_drops, 6, "overflow drops at the lane");
     assert_eq!(lane.sent_frames, 0, "the frozen link admitted nothing");
     assert!(
-        demi_tenant::counters::snapshot().delta(&before).quota_drops >= 6,
+        counters::snapshot().delta(&before).quota_drops >= 6,
         "lane drops are counted isolation events"
     );
     // The budget-capped leftover is reported as poll backlog so the
@@ -376,7 +376,7 @@ fn time_wait_quota_evicts_the_hostile_tenants_own_oldest_only() {
                 .iter()
                 .all(|&c| a.tcp_state(c) == Ok(State::Established))
     });
-    let before = demi_tenant::counters::snapshot();
+    let before = counters::snapshot();
     // Full close walk: the client side takes every TIME_WAIT.
     for &c in &all {
         a.tcp_close(c).unwrap();
@@ -403,7 +403,7 @@ fn time_wait_quota_evicts_the_hostile_tenants_own_oldest_only() {
          never the victim's"
     );
     assert!(
-        demi_tenant::counters::snapshot().delta(&before).quota_drops >= 6,
+        counters::snapshot().delta(&before).quota_drops >= 6,
         "each eviction is a counted quota drop"
     );
 }
@@ -430,7 +430,7 @@ fn syn_flood_fills_only_the_hostile_listeners_partition() {
     // The flood: 4x the hostile listener's backlog in half-open SYNs.
     // The flooding client stops polling after emitting them, so the
     // handshakes can never complete and the SYNs pile up half-open.
-    let before = nsc::conn_snapshot();
+    let before = counters::snapshot();
     let _floods: Vec<_> = (0..16)
         .map(|_| a.tcp_connect(SocketAddr::new(ip(2), 81)).unwrap())
         .collect();
@@ -454,7 +454,7 @@ fn syn_flood_fills_only_the_hostile_listeners_partition() {
         "the victim listener's SYN partition is untouched by the flood"
     );
     assert!(
-        nsc::conn_snapshot().delta(&before).syns_evicted >= 12,
+        counters::snapshot().delta(&before).syns_evicted >= 12,
         "overflow SYNs were evicted from the hostile table, not absorbed"
     );
     assert_eq!(
@@ -624,14 +624,14 @@ proptest! {
         let pool = BufferPool::for_tenant(owner, None);
         let mut buf = pool.alloc_with_headroom(DEFAULT_HEADROOM, len);
         buf.try_mut().expect("fresh buffer is exclusive").fill(0xAB);
-        let before = demi_tenant::counters::snapshot();
+        let before = counters::snapshot();
         demi_tenant::scope(other, || {
             prop_assert!(buf.try_slice(0, len).is_err());
             prop_assert!(buf.try_clone().is_err());
             prop_assert!(buf.try_mut().is_none());
             prop_assert!(buf.prepend(1).is_err());
         });
-        let denied = demi_tenant::counters::snapshot().delta(&before);
+        let denied = counters::snapshot().delta(&before);
         prop_assert!(denied.cross_tenant_denials >= 4);
         prop_assert!(buf.as_slice().iter().all(|&x| x == 0xAB));
 

@@ -1,6 +1,7 @@
 //! §4.5 end to end: transparent registration and free-protection across
 //! the assembled system.
 
+use demi_telemetry::counters;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::testing::{catnip_pair, host_ip};
 use demikernel::types::Sga;
@@ -256,7 +257,7 @@ fn udp_packets_cost_one_alloc_and_zero_copies_each() {
     }
 
     const ROUNDS: u64 = 100;
-    let before = demi_memory::counters::snapshot();
+    let before = counters::snapshot();
     for _ in 0..ROUNDS {
         let sga = client.sgaalloc(1400);
         client
@@ -264,10 +265,13 @@ fn udp_packets_cost_one_alloc_and_zero_copies_each() {
             .unwrap();
         let _ = server.blocking_pop(sqd).unwrap();
     }
-    let d = demi_memory::counters::snapshot().delta(&before);
-    assert_eq!(d.allocs, ROUNDS, "exactly one pool allocation per packet");
-    assert_eq!(d.copies, 0, "zero payload copies per packet");
-    assert_eq!(d.bytes_copied, 0);
+    let d = counters::snapshot().delta(&before);
+    assert_eq!(
+        d.buffer_allocs, ROUNDS,
+        "exactly one pool allocation per packet"
+    );
+    assert_eq!(d.buffer_copies, 0, "zero payload copies per packet");
+    assert_eq!(d.buffer_bytes_copied, 0);
 }
 
 #[test]
@@ -295,21 +299,21 @@ fn tcp_echo_path_moves_payload_bytes_zero_times() {
     }
 
     const ROUNDS: u64 = 50;
-    let before = demi_memory::counters::snapshot();
+    let before = counters::snapshot();
     for _ in 0..ROUNDS {
         let sga = client.sgaalloc(1400);
         let qt = client.push(cqd, &sga).unwrap();
         client.wait(qt, None).unwrap();
         let _ = server.blocking_pop(sqd).unwrap();
     }
-    let d = demi_memory::counters::snapshot().delta(&before);
-    assert_eq!(d.copies, 0, "zero payload copies per message");
-    assert_eq!(d.bytes_copied, 0);
+    let d = counters::snapshot().delta(&before);
+    assert_eq!(d.buffer_copies, 0, "zero payload copies per message");
+    assert_eq!(d.buffer_bytes_copied, 0);
     // Budget: payload + framing header + up to two ACK-ish control frames.
     assert!(
-        d.allocs <= ROUNDS * 4,
+        d.buffer_allocs <= ROUNDS * 4,
         "allocation budget blown: {} allocs for {} messages",
-        d.allocs,
+        d.buffer_allocs,
         ROUNDS
     );
 }
