@@ -94,6 +94,8 @@ pub struct Catfs {
     device: NvmeDevice,
     qpair: QpairId,
     inner: Rc<RefCell<Inner>>,
+    /// Fires whenever completions land in the dispatch table.
+    completed: Notify,
 }
 
 /// The cycle-free heart of catfs: everything the I/O coroutines need.
@@ -105,15 +107,16 @@ struct Core {
     device: NvmeDevice,
     qpair: QpairId,
     inner: Rc<RefCell<Inner>>,
-    /// The runtime's activity gate (its own Rc, independent of the runtime).
-    activity: Notify,
+    /// catfs's completion signal, shared with [`Catfs`]: it fires only
+    /// when device completions land, so the waiters parked in
+    /// [`Core::wait_cmd`] sleep through network traffic and timers.
+    completed: Notify,
 }
 
 impl Core {
-    /// Drains device completions into the dispatch table; returns how many
-    /// arrived (the poller's external-progress report, which also makes the
-    /// runtime fire its activity gate for the waiters parked in
-    /// [`Core::wait_cmd`]).
+    /// Drains device completions into the dispatch table and wakes the
+    /// command waiters if any arrived; returns how many (the poller's
+    /// progress report to the runtime).
     fn pump_completions(&self) -> usize {
         let comps = self.device.poll_completions(self.qpair, 64);
         let n = comps.len();
@@ -124,14 +127,13 @@ impl Core {
         for c in comps {
             inner.completions.insert(c.cmd_id, c);
         }
+        self.completed.notify_waiters();
         n
     }
 
     async fn wait_cmd(&self, cmd_id: u64) -> NvmeCompletion {
         loop {
-            // Completions surface through the poller above, which counts as
-            // external progress; park on the activity gate between checks.
-            let wait = self.activity.notified();
+            let wait = self.completed.notified();
             if let Some(c) = self.inner.borrow_mut().completions.remove(&cmd_id) {
                 return c;
             }
@@ -205,6 +207,7 @@ impl Catfs {
                 completions: HashMap::new(),
                 stats: CatfsStats::default(),
             })),
+            completed: Notify::new(),
         };
         // Pump device completions into the dispatch table each pass. The
         // poller lives inside the runtime, so it must capture the cycle-free
@@ -237,7 +240,7 @@ impl Catfs {
             device: self.device.clone(),
             qpair: self.qpair,
             inner: self.inner.clone(),
-            activity: self.runtime.activity().clone(),
+            completed: self.completed.clone(),
         }
     }
 
@@ -370,6 +373,7 @@ impl Catfs {
                     return c.data.expect("read returns data");
                 }
                 self.inner.borrow_mut().completions.insert(c.cmd_id, c);
+                self.completed.notify_waiters();
             }
         }
     }

@@ -12,7 +12,12 @@ fn setup() -> (Runtime, Catfs, NvmeDevice) {
 
 #[test]
 fn push_pop_round_trip() {
-    let (_rt, fs, _dev) = setup();
+    let (rt, fs, _dev) = setup();
+    // A pop parked on an empty log: a rescue sweep would poll it unwoken
+    // (a spurious poll), so zero spurious polls below proves each device
+    // completion woke its command's waiter.
+    let idle = fs.create("idle").unwrap();
+    fs.pop(idle).unwrap();
     let qd = fs.create("kv-log").unwrap();
     fs.blocking_push(qd, &Sga::from_slice(b"record-1")).unwrap();
     fs.blocking_push(qd, &Sga::from_slice(b"record-2")).unwrap();
@@ -20,6 +25,7 @@ fn push_pop_round_trip() {
     let (_, r2) = fs.blocking_pop(qd).unwrap().expect_pop();
     assert_eq!(r1.to_vec(), b"record-1");
     assert_eq!(r2.to_vec(), b"record-2");
+    assert_eq!(rt.scheduler().stats().spurious_polls, 0);
 }
 
 #[test]

@@ -128,9 +128,10 @@ impl Catnip {
             let poll_stack = stack.clone();
             runtime.register_poller(move || poll_stack.poll_shard(shard));
         }
-        // Stack progress (frames in/out) is reported by that poller, so
-        // every blocking loop below parks on the runtime's activity gate
-        // rather than re-polling the stack each pass.
+        // Every blocking loop below parks on the readiness signal of the
+        // one socket it waits on, which the stack fires where that
+        // socket's state changes: a frame wakes its own connection's
+        // waiters, not every parked coroutine in the world.
         let deadline_stack = stack.clone();
         runtime.register_deadline_source(move || deadline_stack.next_deadline());
         Catnip {
@@ -293,13 +294,13 @@ impl Catnip {
             Some(CatnipQueue::TcpConn { conn, .. }) => {
                 let conn = *conn;
                 let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
                 drop(inner);
+                let ready = stack.tcp_readiness(conn);
                 Ok(self
                     .runtime
                     .spawn_op("catnip::tcp_pop_unframed", async move {
                         loop {
-                            let wait = activity.notified();
+                            let wait = ready.notified();
                             match stack.tcp_recv(conn) {
                                 Ok(Some(chunk)) => {
                                     return OperationResult::Pop {
@@ -310,8 +311,8 @@ impl Catnip {
                                 Ok(None) => {}
                                 Err(e) => return OperationResult::Failed(e.into()),
                             }
-                            if stack.tcp_eof(conn) {
-                                return OperationResult::Failed(DemiError::Closed);
+                            if let Some(end) = tcp_read_end(&stack, conn, 0) {
+                                return OperationResult::Failed(end);
                             }
                             wait.await;
                         }
@@ -394,10 +395,10 @@ impl LibOs for Catnip {
         };
         let stack = self.stack.clone();
         let inner = self.inner.clone();
-        let activity = self.runtime.activity().clone();
+        let ready = stack.tcp_accept_readiness(listener);
         Ok(self.runtime.spawn_op("catnip::accept", async move {
             loop {
-                let wait = activity.notified();
+                let wait = ready.notified();
                 match stack.tcp_accept(listener) {
                     Ok(Some(conn)) => {
                         let mut inner = inner.borrow_mut();
@@ -453,10 +454,10 @@ impl LibOs for Catnip {
                 );
                 drop(inner);
                 let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
+                let ready = stack.tcp_readiness(conn);
                 Ok(self.runtime.spawn_op("catnip::tcp_connect", async move {
                     loop {
-                        let wait = activity.notified();
+                        let wait = ready.notified();
                         match stack.tcp_state(conn) {
                             Ok(State::Established) => return OperationResult::Connect,
                             Ok(State::Closed) => {
@@ -554,11 +555,11 @@ impl LibOs for Catnip {
             Some(CatnipQueue::Udp { port, .. }) => {
                 let port = *port;
                 let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
                 drop(inner);
+                let ready = stack.udp_readiness(port);
                 Ok(self.runtime.spawn_op("catnip::udp_pop", async move {
                     loop {
-                        let wait = activity.notified();
+                        let wait = ready.notified();
                         if let Some((from, payload)) = stack.udp_recv_from(port) {
                             return OperationResult::Pop {
                                 from: Some(from),
@@ -573,11 +574,11 @@ impl LibOs for Catnip {
                 let conn = *conn;
                 let decoder = decoder.clone();
                 let stack = self.stack.clone();
-                let activity = self.runtime.activity().clone();
                 drop(inner);
+                let ready = stack.tcp_readiness(conn);
                 Ok(self.runtime.spawn_op("catnip::tcp_pop", async move {
                     loop {
-                        let wait = activity.notified();
+                        let wait = ready.notified();
                         // Drain arrived stream chunks into the framer.
                         loop {
                             match stack.tcp_recv(conn) {
@@ -597,8 +598,9 @@ impl LibOs for Catnip {
                             Ok(None) => {}
                             Err(e) => return OperationResult::Failed(e.into()),
                         }
-                        if stack.tcp_eof(conn) && decoder.borrow().buffered_bytes() == 0 {
-                            return OperationResult::Failed(DemiError::Closed);
+                        let buffered = decoder.borrow().buffered_bytes();
+                        if let Some(end) = tcp_read_end(&stack, conn, buffered) {
+                            return OperationResult::Failed(end);
                         }
                         wait.await;
                     }
@@ -634,6 +636,16 @@ impl LibOs for Catnip {
         };
         self.port.install_program(program).is_ok()
     }
+}
+
+/// Why a TCP read that found nothing to return is over, if it is: the
+/// connection's error (reset, handshake timeout), or `Closed` once the
+/// peer's FIN arrived and no partial message (`buffered` bytes) is left.
+fn tcp_read_end(stack: &NetworkStack, conn: ConnId, buffered: usize) -> Option<DemiError> {
+    if let Some(e) = stack.tcp_error(conn) {
+        return Some(DemiError::Net(e));
+    }
+    (stack.tcp_eof(conn) && buffered == 0).then_some(DemiError::Closed)
 }
 
 /// Extracts the UDP payload if `frame` is an IPv4/UDP frame addressed to

@@ -16,6 +16,21 @@ fn world() -> (Runtime, Catnip, Catnip) {
     (rt, a, b)
 }
 
+/// Parks a pop on an idle UDP port for the rest of the test. A rescue
+/// sweep would poll it unwoken — a spurious poll — so
+/// [`assert_every_wake_was_real`] proves no waiter missed its signal.
+fn park_sentinel(libos: &Catnip) {
+    let qd = libos.socket(SocketKind::Udp).unwrap();
+    libos
+        .bind(qd, SocketAddr::new(libos.local_ip(), 4))
+        .unwrap();
+    libos.pop(qd).unwrap();
+}
+
+fn assert_every_wake_was_real(rt: &Runtime) {
+    assert_eq!(rt.scheduler().stats().spurious_polls, 0);
+}
+
 #[test]
 fn udp_echo_round_trip() {
     let (_rt, client, server) = world();
@@ -60,7 +75,8 @@ fn udp_connected_push_uses_default_remote() {
 
 #[test]
 fn tcp_accept_connect_exchange() {
-    let (_rt, client, server) = world();
+    let (rt, client, server) = world();
+    park_sentinel(&server);
 
     let lqd = server.socket(SocketKind::Tcp).unwrap();
     server.bind(lqd, SocketAddr::new(ip(2), 80)).unwrap();
@@ -87,6 +103,8 @@ fn tcp_accept_connect_exchange() {
         .unwrap();
     let (_, resp) = client.blocking_pop(cqd).unwrap().expect_pop();
     assert_eq!(resp.to_vec(), b"200 OK");
+    // Accept, connect and both pops were woken by their own sockets.
+    assert_every_wake_was_real(&rt);
 }
 
 #[test]
@@ -136,7 +154,8 @@ fn multi_segment_sga_arrives_as_one_element() {
 
 #[test]
 fn connect_to_dead_port_fails() {
-    let (_rt, client, _server) = world();
+    let (rt, client, _server) = world();
+    park_sentinel(&client);
     let cqd = client.socket(SocketKind::Tcp).unwrap();
     let qt = client.connect(cqd, SocketAddr::new(ip(2), 9999)).unwrap();
     let result = client.wait(qt, None).unwrap();
@@ -144,11 +163,13 @@ fn connect_to_dead_port_fails() {
         result,
         OperationResult::Failed(DemiError::Net(NetError::ConnectionRefused))
     ));
+    assert_every_wake_was_real(&rt);
 }
 
 #[test]
 fn pop_on_closed_connection_reports_closed() {
-    let (_rt, client, server) = world();
+    let (rt, client, server) = world();
+    park_sentinel(&server);
     let lqd = server.socket(SocketKind::Tcp).unwrap();
     server.bind(lqd, SocketAddr::new(ip(2), 80)).unwrap();
     server.listen(lqd, 16).unwrap();
@@ -161,6 +182,7 @@ fn pop_on_closed_connection_reports_closed() {
     client.close(cqd).unwrap();
     let result = server.blocking_pop(sqd).unwrap();
     assert!(matches!(result, OperationResult::Failed(DemiError::Closed)));
+    assert_every_wake_was_real(&rt);
 }
 
 #[test]

@@ -19,14 +19,19 @@
 //! Scheduling is waker-driven: a `wait` runs scheduler passes only while
 //! the run queue is non-empty, and blocked coroutines park on waker
 //! sources — per-qtoken completion wakers ([`Runtime::await_op`]), queue
-//! and condition wakers, timer deadlines, or the runtime's *activity gate*
-//! ([`Runtime::activity`]), which fires whenever external progress happens
-//! (frames delivered, device pollers did work, timers fired). Deadlock is
-//! no longer a spin-count heuristic: when a pass polls nothing, nothing
-//! external moved, and virtual time cannot advance, one *rescue sweep*
-//! re-polls every live task (catching state changes that lack waker
-//! plumbing), and only if that, too, yields nothing is the wait declared
-//! deadlocked.
+//! and condition wakers, timer deadlines, or the readiness signal of the
+//! object they wait on, fired where that object's state changes (catnip
+//! parks on the stack's per-connection, per-listener and per-port
+//! signals, catfs on its device-completion signal). catnap and catcorn,
+//! whose device sims have no per-object readiness yet, park on the
+//! runtime's *activity gate* ([`Runtime::activity`]), which fires whenever
+//! external progress happens (frames delivered, device pollers did work,
+//! timers fired). Poller work counts, not wakeups, drive quiescence and
+//! clock advance. Deadlock is no longer a spin-count heuristic: when a
+//! pass polls nothing, nothing external moved, and virtual time cannot
+//! advance, one *rescue sweep* re-polls every live task (catching state
+//! changes that lack waker plumbing), and only if that, too, yields
+//! nothing is the wait declared deadlocked.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -110,8 +115,8 @@ struct Inner {
     next_qt: Cell<u64>,
     metrics: Metrics,
     /// The activity gate: notified whenever external progress happens, so
-    /// libOS coroutines waiting for "the world to move" (new frames, device
-    /// completions) park here instead of yield-spinning.
+    /// libOS coroutines with no per-object readiness signal (catnap,
+    /// catcorn) park here instead of yield-spinning.
     activity: Notify,
 }
 
@@ -221,8 +226,11 @@ impl Runtime {
 
     /// The activity gate: fires after every batch of external progress
     /// (frames delivered, poller work, timers fired). Coroutines waiting
-    /// for device- or network-driven state changes park on
-    /// `activity().notified()` and re-check their predicate when woken.
+    /// on a device whose objects have no readiness signal of their own
+    /// park on `activity().notified()` and re-check their predicate when
+    /// woken; every waiter on the gate is re-polled on every event, so a
+    /// libOS that can say *which* object changed should signal that
+    /// object instead.
     pub fn activity(&self) -> &Notify {
         &self.inner.activity
     }

@@ -15,10 +15,12 @@
 //! own queue. The shard a flow lives on is decided by the same symmetric
 //! RSS hash the device uses ([`dpdk_sim::rss`]), so a connection's frames
 //! arrive on the queue of the shard that owns its control block *by
-//! construction*: no cross-shard locking, no `Rc`s shared between shards,
-//! and the steering-mismatch counter stays zero unless a SmartNIC program
-//! deliberately overrides RSS. Mismatched frames are handed off to the
-//! owning shard as [`ShardMsg::Frame`]s over bounded lock-free SPSC rings
+//! construction*: no cross-shard locking, no protocol state shared between
+//! shards (a replicated UDP port or listener shares only its readiness
+//! signal, so one waiter hears every shard), and the steering-mismatch
+//! counter stays zero unless a SmartNIC program deliberately overrides
+//! RSS. Mismatched frames are handed off to the owning shard as
+//! [`ShardMsg::Frame`]s over bounded lock-free SPSC rings
 //! ([`crate::rings`]), drained at the start of the owning shard's next
 //! poll pass; ARP bindings travel the same way. A full ring or handoff
 //! queue drops (counted: `handoff_backpressure` / `handoff_dropped`)
@@ -42,6 +44,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use demi_memory::{DemiBuffer, TenantId};
+use demi_sched::Notify;
 use demi_telemetry::counters::{
     self, CROSS_TENANT_DENIALS, HANDOFF_BACKPRESSURE, HANDOFF_DROPPED, QUOTA_DROPS,
     RATE_LIMITED_FRAMES, RX_BUDGET_EXHAUSTED, STEERING_MISMATCHES, TX_DEFICIT_ROUNDS,
@@ -823,6 +826,21 @@ impl NetworkStack {
         None
     }
 
+    /// The signal that fires when a datagram for `port` arrives on any
+    /// shard, or the port closes. An unbound port gets a signal that never
+    /// fires: nothing can arrive there.
+    pub fn udp_readiness(&self, port: u16) -> Notify {
+        let notify = self.shards[0]
+            .borrow_mut()
+            .udp
+            .readiness(port)
+            .unwrap_or_default();
+        for s in &self.shards[1..] {
+            s.borrow_mut().udp.share_readiness(port, &notify);
+        }
+        notify
+    }
+
     /// Datagrams queued on `port` across all shards.
     pub fn udp_pending(&self, port: u16) -> usize {
         self.shards
@@ -903,6 +921,28 @@ impl NetworkStack {
         Ok(None)
     }
 
+    /// The signal that fires when a connection is ready to accept on any
+    /// shard, or the listener closes. An unknown listener gets a signal
+    /// that never fires.
+    pub fn tcp_accept_readiness(&self, listener: ListenerId) -> Notify {
+        let ctrl = self.ctrl.borrow();
+        let Some((_, inner)) = ctrl.listeners.get(&listener.0) else {
+            return Notify::new();
+        };
+        let notify = self.shards[0]
+            .borrow_mut()
+            .tcp
+            .listener_readiness(inner[0])
+            .unwrap_or_default();
+        for (shard, &lid) in self.shards[1..].iter().zip(&inner[1..]) {
+            shard
+                .borrow_mut()
+                .tcp
+                .share_listener_readiness(lid, &notify);
+        }
+        notify
+    }
+
     /// Stops listening; pending unaccepted connections are aborted.
     pub fn tcp_close_listener(&self, listener: ListenerId) {
         let mut ctrl = self.ctrl.borrow_mut();
@@ -960,6 +1000,18 @@ impl NetworkStack {
     /// Connection state.
     pub fn tcp_state(&self, conn: ConnId) -> Result<State, NetError> {
         self.conn_shard(conn).borrow().tcp.state(conn)
+    }
+
+    /// The signal that fires whenever something observable on `conn`
+    /// changes: data or EOF to read, its state, its error. A handle that
+    /// no longer names a live connection gets a signal that never fires:
+    /// its answers are final.
+    pub fn tcp_readiness(&self, conn: ConnId) -> Notify {
+        self.conn_shard(conn)
+            .borrow_mut()
+            .tcp
+            .readiness(conn)
+            .unwrap_or_default()
     }
 
     /// Connection failure, if any.
@@ -1298,9 +1350,11 @@ struct Shard {
 
 impl Shard {
     /// One full pass: RX (handoffs, then own queues), timers, TCP flush,
-    /// TX flush. Returns the work-item count for the scheduler's activity
-    /// gate; handed-off frames count here (their arrival moved no stack
-    /// counter, but a caller parked on the delivered data must wake).
+    /// TX flush. Returns the work-item count the runtime reads as progress
+    /// (quiescence and clock advance); handed-off frames count here (their
+    /// arrival moved no stack counter, but it is progress all the same).
+    /// Waiters are woken by the readiness signals of the sockets the pass
+    /// touched, not by this count.
     fn poll_pass(&mut self) -> usize {
         let before = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
         let handoffs_before = self.shard_stats.handoffs_in;
@@ -1330,8 +1384,8 @@ impl Shard {
     /// Drains up to `rx_budget` frames — handoffs from other shards first,
     /// then this shard's device queues round-robin. Returns the backlog
     /// still pending afterwards — remaining work the caller reports so the
-    /// scheduler's activity gate keeps seeing progress under a flood
-    /// without this pass starving timers or the other pollers.
+    /// runtime keeps seeing progress under a flood without this pass
+    /// starving timers or the other pollers.
     fn rx_pass(&mut self) -> usize {
         let budget = self.config.rx_budget;
         // Each pass re-opens every tenant's RX slice; what a tenant did
@@ -1519,7 +1573,7 @@ impl Shard {
 
     /// Learns an ARP binding discovered by another shard; flushes anything
     /// this shard had queued on that resolution. Returns the work done
-    /// (frames sent plus unreachable drops), for the activity gate.
+    /// (frames sent plus unreachable drops), for the poller's work report.
     fn arp_learn(&mut self, ip: Ipv4Addr, mac: MacAddress) -> usize {
         let now = self.clock.now();
         let before = self.stats.tx_frames + self.stats.unreachable_drops;

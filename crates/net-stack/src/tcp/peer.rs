@@ -22,11 +22,20 @@
 //!   their drained queue boxes after [`super::TcpConfig::compact_delay`],
 //!   reaching a zero-queue-heap idle footprint without ever thrashing the
 //!   active path's warmed capacity.
+//! * **Per-object readiness.** Each connection and listener carries a
+//!   [`Notify`], created the first time a waiter asks for it
+//!   ([`TcpPeer::readiness`], [`TcpPeer::listener_readiness`]) and
+//!   signalled wherever something a parked waiter observes can change:
+//!   data, FIN, RST or a handshake step arriving, a timer changing the
+//!   state, a device offload sync event, a local close or abort, and a
+//!   completed handshake (the listener's). A packet wakes the waiters of
+//!   the connection it touched, never the rest of the host.
 
 use std::collections::{HashSet, VecDeque};
 use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
+use demi_sched::Notify;
 use demi_telemetry::counters::{
     self, DEMUX_CACHE_HITS, DEMUX_LOOKUPS, OUTBOX_SCRATCH_GROWS, QUOTA_DROPS, SYNS_EVICTED,
     TIMERS_FIRED, TIMERS_SCHEDULED, TIMERS_STALE, TW_DEMOTED, TW_EXPIRED, TW_REACKS,
@@ -104,6 +113,9 @@ struct Listener {
     ready: VecDeque<ConnId>,
     /// Fixed-size half-open table (length = `max_backlog`, never grows).
     syn_table: Vec<Option<SynEntry>>,
+    /// Fires when `ready` grows or the listener closes; created on first
+    /// request.
+    readiness: Option<Notify>,
 }
 
 impl Listener {
@@ -150,6 +162,9 @@ struct SlabEntry {
     ephemeral_port: bool,
     timers: TimerSlots,
     cb: Option<ControlBlock>,
+    /// Fires on every change a parked waiter can observe (see the module
+    /// docs); created on first request, dropped when the slot frees.
+    readiness: Option<Notify>,
 }
 
 /// What remains of a connection after TIME_WAIT demotion: enough to
@@ -386,6 +401,13 @@ impl TcpPeer {
             .expect("looked-up slot is live")
     }
 
+    /// Wakes the waiters parked on `slot`'s connection, if any asked.
+    fn signal(&self, slot: u32) {
+        if let Some(ready) = &self.entries[slot as usize].readiness {
+            ready.notify_waiters();
+        }
+    }
+
     fn alloc_conn(&mut self, cb: ControlBlock, ephemeral_port: bool) -> ConnId {
         let slot = match self.free.pop() {
             Some(s) => s,
@@ -414,6 +436,9 @@ impl TcpPeer {
     fn free_slot(&mut self, slot: u32, release_port: bool) {
         let e = &mut self.entries[slot as usize];
         let cb = e.cb.take().expect("freeing a live slot");
+        // Every path here follows a change that already signalled; the
+        // slot's next occupant starts without a signal.
+        e.readiness = None;
         let port = cb.local().port;
         let remote = cb.remote();
         for kind in 0..TIMER_KINDS {
@@ -572,6 +597,7 @@ impl TcpPeer {
                 max_backlog,
                 ready: VecDeque::new(),
                 syn_table,
+                readiness: None,
             },
         );
         self.listening_ports.insert(port, id);
@@ -599,7 +625,39 @@ impl TcpPeer {
                     self.sync_slot(slot);
                 }
             }
+            if let Some(ready) = l.readiness {
+                ready.notify_waiters();
+            }
         }
+    }
+
+    /// The signal that fires when `listener` has a connection to accept
+    /// or closes, created on first request. `None` for an unknown
+    /// listener.
+    pub fn listener_readiness(&mut self, listener: ListenerId) -> Option<Notify> {
+        let l = self.listeners.get_mut(&listener)?;
+        Some(l.readiness.get_or_insert_with(Notify::new).clone())
+    }
+
+    /// Makes `listener` signal `notify` — a listener replicated across
+    /// shards wakes one set of accept waiters. No-op for an unknown
+    /// listener.
+    pub fn share_listener_readiness(&mut self, listener: ListenerId, notify: &Notify) {
+        if let Some(l) = self.listeners.get_mut(&listener) {
+            l.readiness = Some(notify.clone());
+        }
+    }
+
+    /// The signal that fires whenever something a waiter on `conn` can
+    /// observe changes (data, EOF, state, error), created on first
+    /// request. `None` once the handle no longer names a live control
+    /// block: its answers can no longer change.
+    pub fn readiness(&mut self, conn: ConnId) -> Option<Notify> {
+        let Lookup::Live(slot) = self.lookup(conn) else {
+            return None;
+        };
+        let e = &mut self.entries[slot as usize];
+        Some(e.readiness.get_or_insert_with(Notify::new).clone())
     }
 
     /// Starts an active open to `remote`; returns immediately with the
@@ -720,6 +778,7 @@ impl TcpPeer {
         match self.lookup(conn) {
             Lookup::Live(slot) => {
                 self.cb_mut(slot).close(now);
+                self.signal(slot);
                 self.sync_slot(slot);
                 self.reap_slot(slot);
                 // A block that already died with an error stays resident
@@ -745,6 +804,7 @@ impl TcpPeer {
         match self.lookup(conn) {
             Lookup::Live(slot) => {
                 self.cb_mut(slot).abort();
+                self.signal(slot);
                 self.sync_slot(slot);
                 Ok(())
             }
@@ -1055,7 +1115,15 @@ impl TcpPeer {
         };
         if let Some(slot) = hit {
             self.stats.demuxed += 1;
-            self.cb_mut(slot).on_segment(hdr, payload, now);
+            // Data, FIN, RST and handshake steps are what a waiter can
+            // observe; a bare ACK only matters if it moved the state.
+            let observable = !payload.is_empty() || hdr.flags.fin || hdr.flags.rst || hdr.flags.syn;
+            let cb = self.cb_mut(slot);
+            let before = cb.state();
+            cb.on_segment(hdr, payload, now);
+            if observable || self.cb(slot).state() != before {
+                self.signal(slot);
+            }
             self.sync_slot(slot);
             self.reap_slot(slot);
             return;
@@ -1293,11 +1361,11 @@ impl TcpPeer {
         let Lookup::Live(slot) = self.lookup(id) else {
             unreachable!("just allocated");
         };
-        self.listeners
-            .get_mut(&lid)
-            .expect("listener exists")
-            .ready
-            .push_back(id);
+        let l = self.listeners.get_mut(&lid).expect("listener exists");
+        l.ready.push_back(id);
+        if let Some(ready) = &l.readiness {
+            ready.notify_waiters();
+        }
         // Replay the completing ACK through the normal machine so its
         // window (and any piggybacked payload) land exactly as they did
         // when SYN_RCVD control blocks processed this segment.
@@ -1349,7 +1417,13 @@ impl TcpPeer {
         }
         for &(slot, _) in &fired {
             if let Some(cb) = self.entries[slot as usize].cb.as_mut() {
+                let before = cb.state();
                 events += cb.on_tick(now);
+                // RTO give-up, SYN give-up and TIME_WAIT expiry all move
+                // the state; a retransmission or a delayed ACK does not.
+                if cb.state() != before {
+                    self.signal(slot);
+                }
             }
             self.sync_slot(slot);
             self.reap_slot(slot);
@@ -1503,6 +1577,7 @@ impl TcpPeer {
     pub fn offload_served(&mut self, conn: ConnId, rx_len: u32, reply: DemiBuffer, now: SimTime) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_served(rx_len, reply, now);
+            self.signal(slot);
             self.sync_slot(slot);
         }
     }
@@ -1511,6 +1586,7 @@ impl TcpPeer {
     pub fn offload_ack(&mut self, conn: ConnId, ack: u32, window: u16, now: SimTime) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_ack(ack, window, now);
+            self.signal(slot);
             self.sync_slot(slot);
         }
     }
@@ -1519,6 +1595,7 @@ impl TcpPeer {
     pub fn offload_flushed(&mut self, conn: ConnId, data: DemiBuffer, now: SimTime) {
         if let Lookup::Live(slot) = self.lookup(conn) {
             self.cb_mut(slot).offload_flushed(data, now);
+            self.signal(slot);
             self.sync_slot(slot);
         }
     }
@@ -1744,6 +1821,56 @@ mod tests {
         server.on_tick(now);
         assert_eq!(client.state(c).unwrap(), State::Closed);
         assert_eq!(server.state(s).unwrap(), State::Closed);
+    }
+
+    #[test]
+    fn readiness_fires_on_what_a_waiter_observes() {
+        let now = SimTime::from_millis(1);
+        let mut client = TcpPeer::new(ip(1), TcpConfig::default());
+        let mut server = TcpPeer::new(ip(2), TcpConfig::default());
+        let lid = server.listen(80, 16).unwrap();
+        let accept_ready = server.listener_readiness(lid).unwrap();
+        let c = client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
+        let connect_ready = client.readiness(c).unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(connect_ready.epoch(), 1, "the SYN-ACK established it");
+        assert_eq!(accept_ready.epoch(), 1, "the final ACK queued it");
+        let s = server.accept(lid).unwrap().unwrap();
+        let (Lookup::Live(slot), Lookup::Live(_)) = (server.lookup(s), client.lookup(c)) else {
+            panic!("both ends live");
+        };
+        assert!(
+            server.entries[slot as usize].readiness.is_none(),
+            "no signal until a waiter asks: idle connections pay nothing"
+        );
+
+        let ready = server.readiness(s).unwrap();
+        client
+            .send(c, DemiBuffer::from_slice(b"ping"), now)
+            .unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        assert_eq!(ready.epoch(), 1, "data arrived");
+        // The client's delayed ACK of the reply is a bare ACK: nothing a
+        // waiter on the server end can observe changes.
+        server
+            .send(s, DemiBuffer::from_slice(b"pong"), now)
+            .unwrap();
+        pump(&mut client, ip(1), &mut server, ip(2), now);
+        let later = SimTime::from_millis(20);
+        client.on_tick(later);
+        pump(&mut client, ip(1), &mut server, ip(2), later);
+        assert_eq!(ready.epoch(), 1, "a bare ACK is not a wake");
+
+        assert_eq!(connect_ready.epoch(), 2, "the reply arrived");
+        client.close(c, later).unwrap();
+        assert_eq!(connect_ready.epoch(), 3, "local close");
+        pump(&mut client, ip(1), &mut server, ip(2), later);
+        assert_eq!(ready.epoch(), 2, "the peer's FIN");
+        server.abort(s).unwrap();
+        assert_eq!(ready.epoch(), 3, "local abort");
+
+        server.close_listener(lid);
+        assert_eq!(accept_ready.epoch(), 2, "listener closed");
     }
 
     #[test]

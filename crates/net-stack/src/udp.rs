@@ -10,6 +10,7 @@ use crate::fasthash::FastHashMap;
 use std::net::Ipv4Addr;
 
 use demi_memory::{DemiBuffer, HeadroomError};
+use demi_sched::Notify;
 
 use crate::checksum::{finish, sum_words, ChecksumAccumulator};
 use crate::ipv4::IpProtocol;
@@ -145,6 +146,9 @@ impl UdpHeader {
 struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, DemiBuffer, u64)>,
     capacity: usize,
+    /// Fires when a datagram is queued or the port closes; created on
+    /// first request.
+    readiness: Option<Notify>,
 }
 
 /// UDP socket-table counters.
@@ -192,6 +196,7 @@ impl UdpPeer {
             UdpSocket {
                 recv_queue: VecDeque::new(),
                 capacity: self.per_socket_capacity,
+                readiness: None,
             },
         );
         Ok(())
@@ -219,7 +224,24 @@ impl UdpPeer {
 
     /// Unbinds a port; queued datagrams are discarded.
     pub fn close(&mut self, port: u16) {
-        self.sockets.remove(&port);
+        if let Some(ready) = self.sockets.remove(&port).and_then(|s| s.readiness) {
+            ready.notify_waiters();
+        }
+    }
+
+    /// The signal that fires when a datagram arrives on `port` or the
+    /// port closes, created on first request. `None` when unbound.
+    pub fn readiness(&mut self, port: u16) -> Option<Notify> {
+        let sock = self.sockets.get_mut(&port)?;
+        Some(sock.readiness.get_or_insert_with(Notify::new).clone())
+    }
+
+    /// Makes `port` signal `notify` — a port bound on several shards
+    /// wakes one set of waiters. No-op when unbound.
+    pub fn share_readiness(&mut self, port: u16, notify: &Notify) {
+        if let Some(sock) = self.sockets.get_mut(&port) {
+            sock.readiness = Some(notify.clone());
+        }
     }
 
     /// Whether `port` is bound.
@@ -242,6 +264,9 @@ impl UdpPeer {
                     };
                     sock.recv_queue.push_back((from, payload, demuxed_ns));
                     self.stats.delivered += 1;
+                    if let Some(ready) = &sock.readiness {
+                        ready.notify_waiters();
+                    }
                 }
             }
             None => self.stats.no_listener += 1,
@@ -417,5 +442,21 @@ mod tests {
         assert!(!peer.is_bound(7));
         assert!(peer.bind(7).is_ok());
         assert_eq!(peer.pending(7), 0);
+    }
+
+    #[test]
+    fn readiness_fires_per_port_on_delivery_and_close() {
+        let mut peer = UdpPeer::new(1);
+        assert!(peer.readiness(7).is_none(), "unbound");
+        peer.bind(7).unwrap();
+        peer.bind(8).unwrap();
+        let (seven, eight) = (peer.readiness(7).unwrap(), peer.readiness(8).unwrap());
+        let from = SocketAddr::new(ip(2), 1);
+        peer.deliver(from, 7, DemiBuffer::from_slice(b"x"));
+        assert_eq!((seven.epoch(), eight.epoch()), (1, 0));
+        peer.deliver(from, 7, DemiBuffer::from_slice(b"dropped"));
+        assert_eq!(seven.epoch(), 1, "a dropped datagram changes nothing");
+        peer.close(8);
+        assert_eq!(eight.epoch(), 1);
     }
 }

@@ -63,6 +63,13 @@ verify-all:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
 
+# Hostbench smoke: every benchmark workload for one second at seed 1.
+# Each run must exit 0 (correct replies, no lost acknowledged SET, a
+# passing determinism self-check) and print its pinned virtual-time
+# digest.
+bench-smoke:
+    bash scripts/bench-smoke.sh
+
 # Regenerate every experiment table (E1–E20).
 experiments:
     cargo bench -p demi-bench

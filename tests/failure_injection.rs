@@ -105,17 +105,28 @@ fn catcorn_partition_fails_pushes_with_rdma_error() {
 
 #[test]
 fn catnip_connect_to_partitioned_host_times_out() {
-    let (_rt, fabric, client, _server) = catnip_pair(404);
+    let (rt, fabric, client, _server) = catnip_pair(404);
+    // A pop parked on an idle port: a rescue sweep would poll it unwoken
+    // (a spurious poll), so zero spurious polls below proves the SYN
+    // give-up itself woke both waiters.
+    let idle = client.socket(SocketKind::Udp).unwrap();
+    client.bind(idle, SocketAddr::new(host_ip(1), 9)).unwrap();
+    client.pop(idle).unwrap();
     fabric.partition(host_mac(1), host_mac(2));
     let cqd = client.socket(SocketKind::Tcp).unwrap();
     let qt = client
         .connect(cqd, SocketAddr::new(host_ip(2), 80))
         .unwrap();
+    let pop = client.pop(cqd).unwrap();
     let result = client.wait(qt, None).unwrap();
     assert!(
         result.is_failed(),
         "connect through a partition: {result:?}"
     );
+    // The pop pending on the connecting queue fails too, with the same
+    // error, instead of deadlocking.
+    assert_eq!(client.wait(pop, None).unwrap(), result);
+    assert_eq!(rt.scheduler().stats().spurious_polls, 0);
 }
 
 #[test]

@@ -347,6 +347,10 @@ fn echo_offload_serves_on_device_with_slot_attribution() {
         msg,
         "host serves after uninstall"
     );
+    // The host pop parked through every NIC-served request, and the
+    // fallback, were woken by the flow's sync events alone: the client's
+    // parked pops would have been polled unwoken by any rescue sweep.
+    assert_eq!(rt.scheduler().stats().spurious_polls, 0);
 }
 
 /// A warmed KV cache serves GET hits on the NIC; a SET invalidates
