@@ -16,6 +16,12 @@
 //! and exactly one waiter resolves per completion (each qtoken names one
 //! operation).
 //!
+//! Outstanding operations live in one generation-tagged slab, the
+//! [`OpTable`]: a qtoken is its slot index plus the slot's generation, so
+//! a `wait_*` call resolves each token with one array index and a
+//! generation compare, and learns which tokens it covers by stamping its
+//! wait id on their slots instead of building a per-call map.
+//!
 //! Scheduling is waker-driven: a `wait` runs scheduler passes only while
 //! the run queue is non-empty, and blocked coroutines park on waker
 //! sources — per-qtoken completion wakers ([`Runtime::await_op`]), queue
@@ -33,8 +39,8 @@
 //! changes that lack waker plumbing), and only if that, too, yields
 //! nothing is the wait declared deadlocked.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -71,26 +77,174 @@ impl PumpReport {
     }
 }
 
-/// Completion delivery for `wait_any`/`wait_all`: operations push their
-/// token here as their coroutine's last act, so waiters learn of
-/// completions in arrival order instead of rescanning every waited token
-/// each pump pass.
-///
-/// `ready` is the record of truth — the set of completed-but-unconsumed
-/// tokens. `arrivals` is only a conduit: a waiter pops it, skips entries
-/// already consumed elsewhere (`wait`/`await_op`), and leaves tokens it is
-/// not waiting on in `ready` for their own waiter's entry scan.
-#[derive(Default)]
-struct CompletionRing {
-    arrivals: VecDeque<QToken>,
-    ready: HashSet<QToken>,
-}
-
 /// Per-qtoken bookkeeping: the task handle plus the submission instant
 /// (the telemetry anchor for end-to-end op latency).
 struct OpEntry {
     handle: TaskHandle<OperationResult>,
     started: SimTime,
+}
+
+/// The last `wait_*` call that covered a slot: its id and the index the
+/// slot's token had in that call's token slice. Wait ids start at 1, so
+/// the default mark belongs to no wait.
+#[derive(Clone, Copy, Default)]
+struct WaitMark {
+    wait: u64,
+    index: usize,
+}
+
+/// One [`OpTable`] slot. `generation` is the generation of the token the
+/// slot holds while `entry` is `Some`, and the next one it hands out
+/// while it is free.
+struct Slot {
+    generation: u32,
+    entry: Option<OpEntry>,
+    /// The operation completed and its result waits to be consumed.
+    ready: bool,
+    mark: WaitMark,
+    /// The next free slot while this one is free (an intrusive free list,
+    /// so consuming a token never allocates).
+    next_free: Option<u32>,
+}
+
+/// Every outstanding operation, indexed by its qtoken, plus the
+/// completion conduit `wait_any`/`wait_all` read.
+///
+/// A [`QToken`] is `(generation << 32) | slot`: resolving one is one
+/// index and one generation compare, and consuming it frees the slot
+/// with its generation bumped, so a consumed token never names the
+/// slot's next operation. Generations start at 1, so no token with a
+/// zero high half is ever live.
+///
+/// Operations push their token onto `arrivals` as their coroutine's last
+/// act (and set the slot's `ready` flag), so waiters learn of
+/// completions in arrival order instead of rescanning every waited token
+/// each pump pass. `ready` is the record of truth; `arrivals` is only a
+/// conduit: a waiter pops it, skips entries already consumed elsewhere
+/// (`wait`/`await_op`), and leaves ready tokens it is not waiting on for
+/// their own waiter's entry pass. Which tokens a wait covers is stamped
+/// on the slots themselves ([`WaitMark`]), so no wait builds a map.
+#[derive(Default)]
+struct OpTable {
+    slots: Vec<Slot>,
+    /// The most recently freed slot, head of the free list.
+    free: Option<u32>,
+    arrivals: VecDeque<QToken>,
+    live: usize,
+    /// The id the most recent `wait_*` call took.
+    last_wait: u64,
+}
+
+impl OpTable {
+    /// The token the next [`OpTable::insert`] returns.
+    fn next_token(&self) -> QToken {
+        match self.free {
+            Some(slot) => token(self.slots[slot as usize].generation, slot),
+            None => token(1, self.slots.len() as u32),
+        }
+    }
+
+    fn insert(&mut self, entry: OpEntry) -> QToken {
+        let slot = match self.free {
+            Some(slot) => {
+                self.free = self.slots[slot as usize].next_free.take();
+                slot
+            }
+            None => {
+                self.slots.push(Slot {
+                    generation: 1,
+                    entry: None,
+                    ready: false,
+                    mark: WaitMark::default(),
+                    next_free: None,
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slots[slot as usize].entry = Some(entry);
+        self.live += 1;
+        token(self.slots[slot as usize].generation, slot)
+    }
+
+    /// The slot `qt` names, if its operation is still unconsumed.
+    fn slot_mut(&mut self, qt: QToken) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut((qt.0 as u32) as usize)?;
+        (slot.generation == (qt.0 >> 32) as u32 && slot.entry.is_some()).then_some(slot)
+    }
+
+    /// Records `qt`'s completion: sets its ready flag and queues it on
+    /// the conduit.
+    fn complete(&mut self, qt: QToken) {
+        if let Some(slot) = self.slot_mut(qt) {
+            slot.ready = true;
+            self.arrivals.push_back(qt);
+        }
+    }
+
+    /// Consumes `qt` if its operation has completed, freeing its slot.
+    /// The freed slot's mark is cleared too: an op that reuses the slot
+    /// while a `wait_all` that covered the old token is still running must
+    /// not look like one of that wait's tokens.
+    fn take_ready(&mut self, qt: QToken) -> Option<OpEntry> {
+        let next_free = self.free;
+        let slot = self.slot_mut(qt).filter(|s| s.ready)?;
+        let entry = slot.entry.take();
+        slot.ready = false;
+        slot.mark = WaitMark::default();
+        slot.generation = slot.generation.checked_add(1).unwrap_or(1);
+        slot.next_free = next_free;
+        self.free = Some(qt.0 as u32);
+        self.live -= 1;
+        entry
+    }
+
+    /// The entry pass of one `wait_*` call: resolves each token with one
+    /// index and a generation compare, and stamps a fresh wait id and the
+    /// token's caller index on its slot. A token this call already
+    /// stamped is a duplicate: it keeps its first index when
+    /// `duplicates_ok`, and is [`DemiError::BadQToken`] otherwise.
+    fn enter_wait(&mut self, qts: &[QToken], duplicates_ok: bool) -> Result<EntryPass, DemiError> {
+        self.last_wait += 1;
+        let wait = self.last_wait;
+        let mut pass = EntryPass {
+            wait,
+            distinct: 0,
+            ready: 0,
+            first_ready: None,
+        };
+        for (index, &qt) in qts.iter().enumerate() {
+            let slot = self.slot_mut(qt).ok_or(DemiError::BadQToken)?;
+            if slot.mark.wait == wait {
+                if duplicates_ok {
+                    continue;
+                }
+                return Err(DemiError::BadQToken);
+            }
+            slot.mark = WaitMark { wait, index };
+            pass.distinct += 1;
+            if slot.ready {
+                pass.ready += 1;
+                pass.first_ready.get_or_insert(index);
+            }
+        }
+        Ok(pass)
+    }
+}
+
+/// What a `wait_*` entry pass found.
+struct EntryPass {
+    /// The id stamped on every covered slot.
+    wait: u64,
+    /// Distinct tokens covered.
+    distinct: usize,
+    /// How many of them had already completed.
+    ready: usize,
+    /// The lowest caller index among those.
+    first_ready: Option<usize>,
+}
+
+fn token(generation: u32, slot: u32) -> QToken {
+    QToken((u64::from(generation) << 32) | u64::from(slot))
 }
 
 /// What one `drive_wait` step did with the arrivals it consumed.
@@ -110,9 +264,7 @@ struct Inner {
     fabric: Option<Fabric>,
     pollers: RefCell<Vec<Poller>>,
     deadline_sources: RefCell<Vec<DeadlineSource>>,
-    qts: RefCell<HashMap<QToken, OpEntry>>,
-    completions: RefCell<CompletionRing>,
-    next_qt: Cell<u64>,
+    ops: RefCell<OpTable>,
     metrics: Metrics,
     /// The activity gate: notified whenever external progress happens, so
     /// libOS coroutines with no per-object readiness signal (catnap,
@@ -165,9 +317,7 @@ impl Runtime {
                 fabric,
                 pollers: RefCell::new(Vec::new()),
                 deadline_sources: RefCell::new(Vec::new()),
-                qts: RefCell::new(HashMap::new()),
-                completions: RefCell::new(CompletionRing::default()),
-                next_qt: Cell::new(1),
+                ops: RefCell::new(OpTable::default()),
                 metrics: Metrics::new(),
                 activity: Notify::new(),
             }),
@@ -254,18 +404,20 @@ impl Runtime {
 
     /// Spawns a queue-operation coroutine and returns its qtoken.
     ///
-    /// The coroutine's last act is pushing its token onto the completion
-    /// ring, which is how `wait_any`/`wait_all` learn of completions in
-    /// O(1) instead of rescanning every waited token each pump pass. The
-    /// wrapper holds the runtime weakly — a strong `Runtime` inside a
-    /// spawned task would close an Rc cycle and leak the world (the same
-    /// ownership rule as [`OpFuture`]).
+    /// The coroutine's last act is marking its [`OpTable`] slot ready and
+    /// queueing its token on the arrival conduit, which is how
+    /// `wait_any`/`wait_all` learn of completions in O(1) instead of
+    /// rescanning every waited token each pump pass. The wrapper holds
+    /// the runtime weakly — a strong `Runtime` inside a spawned task would
+    /// close an Rc cycle and leak the world (the same ownership rule as
+    /// [`OpFuture`]).
     pub fn spawn_op<F>(&self, name: &'static str, op: F) -> QToken
     where
         F: Future<Output = OperationResult> + 'static,
     {
-        let qt = QToken(self.inner.next_qt.get());
-        self.inner.next_qt.set(qt.0 + 1);
+        // Spawning polls nothing, so no other op takes this token before
+        // the insert below.
+        let qt = self.inner.ops.borrow().next_token();
         let started = self.inner.clock.now();
         if demi_telemetry::span::enabled() {
             demi_telemetry::span::begin(qt.0, name, started.as_nanos());
@@ -275,7 +427,7 @@ impl Runtime {
             first_polled: false,
             inner: op,
         };
-        let ring = Rc::downgrade(&self.inner);
+        let table = Rc::downgrade(&self.inner);
         let handle = self.inner.scheduler.spawn(name, async move {
             let result = op.await;
             if demi_telemetry::span::enabled() {
@@ -285,17 +437,17 @@ impl Runtime {
                     demi_telemetry::now_ns(),
                 );
             }
-            if let Some(inner) = ring.upgrade() {
-                let mut completions = inner.completions.borrow_mut();
-                completions.arrivals.push_back(qt);
-                completions.ready.insert(qt);
+            if let Some(inner) = table.upgrade() {
+                inner.ops.borrow_mut().complete(qt);
             }
             result
         });
-        self.inner
-            .qts
+        let inserted = self
+            .inner
+            .ops
             .borrow_mut()
-            .insert(qt, OpEntry { handle, started });
+            .insert(OpEntry { handle, started });
+        debug_assert_eq!(inserted, qt);
         qt
     }
 
@@ -431,33 +583,21 @@ impl Runtime {
         report.completed > 0 || self.inner.scheduler.has_runnable()
     }
 
-    /// Consumes `qt` if its operation has completed. The ready set is the
-    /// only source of truth: a token appears there the instant its
-    /// coroutine finishes (the `spawn_op` wrapper), so this is a set probe,
-    /// not a handle poll.
+    /// Consumes `qt` if its operation has completed. The slot's ready flag
+    /// is the only source of truth: it is set the instant the coroutine
+    /// finishes (the `spawn_op` wrapper), so this is a flag check, not a
+    /// handle poll.
     fn take_if_complete(&self, qt: QToken) -> Option<(OperationResult, SimTime)> {
-        {
-            let mut completions = self.inner.completions.borrow_mut();
-            if !completions.ready.remove(&qt) {
-                return None;
-            }
-        }
-        let entry = self
-            .inner
-            .qts
-            .borrow_mut()
-            .remove(&qt)
-            .expect("ready token is spawned");
+        let entry = self.inner.ops.borrow_mut().take_ready(qt)?;
         let result = entry.handle.take_result().expect("ready token is complete");
         Some((result, entry.started))
     }
 
-    /// Consumes a token known to be ready, records the wakeup, and stamps
-    /// the wait-delivery telemetry (end-to-end op latency + span close).
-    fn finish(&self, qt: QToken) -> OperationResult {
-        let (result, started) = self
-            .take_if_complete(qt)
-            .expect("caller checked the ready set");
+    /// Consumes `qt` if its operation has completed, records the wakeup,
+    /// and stamps the wait-delivery telemetry (end-to-end op latency +
+    /// span close).
+    fn finish(&self, qt: QToken) -> Option<OperationResult> {
+        let (result, started) = self.take_if_complete(qt)?;
         if demi_telemetry::enabled() || demi_telemetry::span::enabled() {
             let now = self.inner.clock.now();
             demi_telemetry::stage::record(
@@ -476,53 +616,46 @@ impl Runtime {
         if matches!(result, OperationResult::Pop { .. }) {
             metrics.count(WAKEUPS_WITH_DATA);
         }
-        result
+        Some(result)
     }
 
-    /// Entry scan: which of `wanted` completed before the wait began?
-    /// O(tokens), run exactly once per `wait_*` call — the steady-state
-    /// loop reads only the arrival conduit.
-    fn scan_ready(&self, wanted: &HashMap<QToken, usize>) -> Vec<(usize, QToken)> {
+    /// Entry pass of a `wait_*` call (see [`OpTable::enter_wait`]). The
+    /// only O(tokens) work a wait does — the steady-state loop reads only
+    /// the arrival conduit.
+    fn enter_wait(&self, qts: &[QToken], duplicates_ok: bool) -> Result<EntryPass, DemiError> {
+        let pass = self.inner.ops.borrow_mut().enter_wait(qts, duplicates_ok)?;
         self.inner
             .metrics
-            .add(COMPLETION_CHECKS, wanted.len() as u64);
-        let completions = self.inner.completions.borrow();
-        wanted
-            .iter()
-            .filter(|(qt, _)| completions.ready.contains(qt))
-            .map(|(&qt, &i)| (i, qt))
-            .collect()
+            .add(COMPLETION_CHECKS, pass.distinct as u64);
+        Ok(pass)
     }
 
-    /// Pops arrivals off the conduit until one of `wanted` turns up (or the
-    /// conduit drains). Stale entries — tokens already consumed through
-    /// `wait`/`await_op` — are discarded; tokens some *other* waiter wants
-    /// come off the conduit too but stay in the ready set, where that
-    /// waiter's entry scan finds them. Cost is O(arrivals since the last
-    /// call), independent of how many tokens this wait covers.
-    fn next_arrival(&self, wanted: &HashMap<QToken, usize>) -> Option<(usize, QToken)> {
-        let mut completions = self.inner.completions.borrow_mut();
+    /// Pops arrivals off the conduit until one marked by wait `wait` turns
+    /// up (or the conduit drains); returns its caller index and token.
+    /// Stale entries — tokens already consumed through `wait`/`await_op` —
+    /// are discarded; tokens some *other* waiter wants come off the
+    /// conduit too but stay ready, where that waiter's entry pass finds
+    /// them. Cost is O(arrivals since the last call), independent of how
+    /// many tokens this wait covers.
+    fn next_arrival(&self, wait: u64) -> Option<(usize, QToken)> {
+        let mut ops = self.inner.ops.borrow_mut();
         let mut checks = 0u64;
         let mut hit = None;
-        while let Some(qt) = completions.arrivals.pop_front() {
-            if !completions.ready.contains(&qt) {
+        while let Some(qt) = ops.arrivals.pop_front() {
+            let Some(slot) = ops.slot_mut(qt).filter(|s| s.ready) else {
                 continue;
-            }
+            };
             checks += 1;
-            if let Some(&i) = wanted.get(&qt) {
-                hit = Some((i, qt));
+            if slot.mark.wait == wait {
+                hit = Some((slot.mark.index, qt));
                 break;
             }
         }
-        drop(completions);
+        drop(ops);
         if checks > 0 {
             self.inner.metrics.add(COMPLETION_CHECKS, checks);
         }
         hit
-    }
-
-    fn known(&self, qt: QToken) -> bool {
-        self.inner.qts.borrow().contains_key(&qt)
     }
 
     /// The shared blocking loop under `wait_any`/`wait_all`: pump the
@@ -616,12 +749,14 @@ impl Runtime {
 
     /// Waits for the first of `qts` to complete; returns its index and
     /// result (the paper's improved epoll, §4.4). Completed tokens are
-    /// consumed; the rest stay valid.
+    /// consumed; the rest stay valid. A token listed twice resolves at its
+    /// first index; an empty `qts` is [`DemiError::BadQToken`] at once,
+    /// since nothing could ever resolve it.
     ///
-    /// Completion delivery is O(1) per pump pass: one entry scan over the
-    /// tokens up front, then the loop only pops the completion-ring
-    /// conduit — the per-pass cost no longer multiplies by how many tokens
-    /// the call watches (E13).
+    /// Completion delivery is O(1) per pump pass: one allocation-free
+    /// entry pass over the tokens up front (a table index and a mark stamp
+    /// each), then the loop only pops the arrival conduit — the per-pass
+    /// cost no longer multiplies by how many tokens the call watches (E13).
     ///
     /// The wait loop is event-driven, not spin-bounded: every iteration
     /// either ran woken tasks, absorbed external work, or advanced virtual
@@ -633,24 +768,21 @@ impl Runtime {
         qts: &[QToken],
         timeout: Option<SimTime>,
     ) -> Result<(usize, OperationResult), DemiError> {
-        let mut wanted: HashMap<QToken, usize> = HashMap::with_capacity(qts.len());
-        for (i, &qt) in qts.iter().enumerate() {
-            if !self.known(qt) {
-                return Err(DemiError::BadQToken);
-            }
-            // A duplicated token resolves at its first occurrence, like
-            // the historical linear scan did.
-            wanted.entry(qt).or_insert(i);
+        if qts.is_empty() {
+            // Nothing could ever resolve this wait; don't pump the world
+            // through every pending event to find that out.
+            return Err(DemiError::BadQToken);
         }
         // A token may have completed before this wait began (e.g., consumed
-        // pumps from an earlier wait). Lowest caller index wins, as the
-        // linear scan's iteration order used to guarantee.
-        if let Some((i, qt)) = self.scan_ready(&wanted).into_iter().min_by_key(|&(i, _)| i) {
-            return Ok((i, self.finish(qt)));
+        // pumps from an earlier wait). Lowest caller index wins, and a
+        // duplicated token resolves at its first occurrence.
+        let pass = self.enter_wait(qts, true)?;
+        if let Some(i) = pass.first_ready {
+            return Ok((i, self.finish(qts[i]).expect("entry pass saw it ready")));
         }
         let deadline = timeout.map(|d| self.now().saturating_add(d));
-        self.drive_wait(deadline, || match self.next_arrival(&wanted) {
-            Some((i, qt)) => WaitStep::Done((i, self.finish(qt))),
+        self.drive_wait(deadline, || match self.next_arrival(pass.wait) {
+            Some((i, qt)) => WaitStep::Done((i, self.finish(qt).expect("arrival is ready"))),
             None => WaitStep::Idle,
         })
     }
@@ -660,33 +792,32 @@ impl Runtime {
     ///
     /// Drives one wait loop consuming completions as they arrive — not a
     /// `wait_any` per token, which rebuilt the token slice and rescanned
-    /// the survivors after every completion (O(n²) over the batch).
+    /// the survivors after every completion (O(n²) over the batch). A
+    /// token listed twice is [`DemiError::BadQToken`] (it can resolve only
+    /// once); an empty `qts` returns no results at once.
     pub fn wait_all(
         &self,
         qts: &[QToken],
         timeout: Option<SimTime>,
     ) -> Result<Vec<OperationResult>, DemiError> {
-        let mut wanted: HashMap<QToken, usize> = HashMap::with_capacity(qts.len());
-        for (i, &qt) in qts.iter().enumerate() {
-            if !self.known(qt) || wanted.insert(qt, i).is_some() {
-                // A duplicate can only resolve once; reject it like an
-                // already-consumed token rather than hanging.
-                return Err(DemiError::BadQToken);
-            }
-        }
+        // A duplicate can only resolve once; the entry pass rejects it like
+        // an already-consumed token rather than hanging.
+        let pass = self.enter_wait(qts, false)?;
         let mut results: Vec<Option<OperationResult>> = Vec::with_capacity(qts.len());
         results.resize_with(qts.len(), || None);
         let mut missing = qts.len();
-        for (i, qt) in self.scan_ready(&wanted) {
-            results[i] = Some(self.finish(qt));
-            missing -= 1;
+        if pass.ready > 0 {
+            for (result, &qt) in results.iter_mut().zip(qts) {
+                *result = self.finish(qt);
+            }
+            missing -= pass.ready;
         }
         if missing > 0 {
             let deadline = timeout.map(|d| self.now().saturating_add(d));
             self.drive_wait(deadline, || {
                 let mut consumed = false;
-                while let Some((i, qt)) = self.next_arrival(&wanted) {
-                    results[i] = Some(self.finish(qt));
+                while let Some((i, qt)) = self.next_arrival(pass.wait) {
+                    results[i] = Some(self.finish(qt).expect("arrival is ready"));
                     missing -= 1;
                     consumed = true;
                 }
@@ -707,7 +838,7 @@ impl Runtime {
 
     /// Number of unresolved qtokens (diagnostics).
     pub fn outstanding(&self) -> usize {
-        self.inner.qts.borrow().len()
+        self.inner.ops.borrow().live
     }
 
     /// A future resolving when the operation named by `qt` completes —
@@ -788,25 +919,19 @@ impl Future for OpFuture {
             return std::task::Poll::Ready(OperationResult::Failed(DemiError::BadQToken));
         };
         let runtime = Runtime { inner };
-        if !runtime.known(self.qt) {
+        if let Some((result, _started)) = runtime.take_if_complete(self.qt) {
+            // Consumed inside a composing coroutine, not by `wait`: close
+            // the span without a wait-delivery stamp.
+            demi_telemetry::span::finish(self.qt.0);
+            return std::task::Poll::Ready(result);
+        }
+        let mut ops = runtime.inner.ops.borrow_mut();
+        let Some(entry) = ops.slot_mut(self.qt).and_then(|s| s.entry.as_ref()) else {
             return std::task::Poll::Ready(OperationResult::Failed(DemiError::BadQToken));
-        }
-        match runtime.take_if_complete(self.qt) {
-            Some((result, _started)) => {
-                // Consumed inside a composing coroutine, not by `wait`:
-                // close the span without a wait-delivery stamp.
-                demi_telemetry::span::finish(self.qt.0);
-                std::task::Poll::Ready(result)
-            }
-            None => {
-                // Park until the operation's task completes.
-                let qts = runtime.inner.qts.borrow();
-                if let Some(entry) = qts.get(&self.qt) {
-                    entry.handle.register_completion_waker(cx.waker());
-                }
-                std::task::Poll::Pending
-            }
-        }
+        };
+        // Park until the operation's task completes.
+        entry.handle.register_completion_waker(cx.waker());
+        std::task::Poll::Pending
     }
 }
 
@@ -832,6 +957,7 @@ mod tests {
     use super::*;
     use crate::types::Sga;
     use demi_sched::yield_once;
+    use std::cell::Cell;
 
     #[test]
     fn wait_returns_result_directly() {
@@ -933,6 +1059,104 @@ mod tests {
     fn unknown_token_is_rejected() {
         let rt = Runtime::new();
         assert_eq!(rt.wait(QToken(999), None), Err(DemiError::BadQToken));
+    }
+
+    #[test]
+    fn waiting_on_no_tokens_is_rejected_without_moving_the_clock() {
+        let rt = Runtime::new();
+        let timers = rt.timers().clone();
+        let pending = rt.spawn_op("sleepy", async move {
+            timers.sleep(SimTime::from_millis(5)).await;
+            OperationResult::Push
+        });
+        assert_eq!(rt.wait_any(&[], None), Err(DemiError::BadQToken));
+        assert_eq!(
+            rt.wait_any(&[], Some(SimTime::from_millis(1))),
+            Err(DemiError::BadQToken)
+        );
+        assert_eq!(rt.now(), SimTime::ZERO, "an empty wait pumped the world");
+        assert_eq!(rt.wait_all(&[], None), Ok(vec![]));
+        rt.wait(pending, None).unwrap();
+    }
+
+    #[test]
+    fn consumed_token_stays_bad_after_its_slot_is_reused() {
+        let rt = Runtime::new();
+        let old = rt.spawn_op("old", async { OperationResult::Push });
+        rt.wait(old, None).unwrap();
+        let new = rt.spawn_op("new", async { OperationResult::Connect });
+        assert_eq!(new.0 as u32, old.0 as u32, "the freed slot is reused");
+        assert_ne!(new, old);
+        assert_eq!(rt.wait(old, None), Err(DemiError::BadQToken));
+        assert_eq!(rt.wait_all(&[old], None), Err(DemiError::BadQToken));
+        assert!(matches!(
+            rt.wait(new, None).unwrap(),
+            OperationResult::Connect
+        ));
+        assert_eq!(rt.outstanding(), 0);
+    }
+
+    #[test]
+    fn wait_all_does_not_claim_an_op_that_reuses_a_freed_slot() {
+        let rt = Runtime::new();
+        let first = rt.spawn_op("first", async { OperationResult::Push });
+        let inner_qt = Rc::new(Cell::new(None));
+        let inner_result = Rc::new(RefCell::new(None));
+        let outer = rt.spawn_op("outer", {
+            let rt = rt.clone();
+            let inner_qt = inner_qt.clone();
+            let inner_result = inner_result.clone();
+            async move {
+                // Runs inside the wait_all below, after it consumed
+                // `first` at entry and freed its slot.
+                yield_once().await;
+                let inner = rt.spawn_op("inner", async {
+                    yield_once().await;
+                    OperationResult::Push
+                });
+                inner_qt.set(Some(inner));
+                *inner_result.borrow_mut() = Some(rt.await_op(inner).await);
+                OperationResult::Connect
+            }
+        });
+        rt.pump();
+        let results = rt.wait_all(&[first, outer], None).unwrap();
+        assert!(matches!(results[0], OperationResult::Push));
+        assert!(matches!(results[1], OperationResult::Connect));
+        let inner = inner_qt.get().expect("outer spawned its inner op");
+        assert_eq!(inner.0 as u32, first.0 as u32, "inner reused first's slot");
+        assert!(matches!(
+            inner_result.borrow_mut().take(),
+            Some(OperationResult::Push)
+        ));
+        assert_eq!(rt.outstanding(), 0);
+    }
+
+    #[test]
+    fn duplicate_tokens_resolve_once_and_count_once() {
+        let rt = Runtime::new();
+        let timers = rt.timers().clone();
+        let ready = rt.spawn_op("ready", async { OperationResult::Push });
+        let slow = rt.spawn_op("slow", async move {
+            timers.sleep(SimTime::from_micros(10)).await;
+            OperationResult::Connect
+        });
+        rt.pump();
+        rt.metrics().reset();
+        let (idx, result) = rt.wait_any(&[ready, slow, ready], None).unwrap();
+        assert_eq!(idx, 0, "a duplicate resolves at its first occurrence");
+        assert!(matches!(result, OperationResult::Push));
+        assert_eq!(
+            rt.metrics().snapshot().completion_checks,
+            2,
+            "the entry pass counts distinct tokens"
+        );
+        assert_eq!(rt.wait_all(&[slow, slow], None), Err(DemiError::BadQToken));
+        // The rejected wait_all left `slow` valid; a duplicate that arrives
+        // after entry also resolves at its first occurrence.
+        let (idx, result) = rt.wait_any(&[slow, slow], None).unwrap();
+        assert_eq!(idx, 0);
+        assert!(matches!(result, OperationResult::Connect));
     }
 
     #[test]

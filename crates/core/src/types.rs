@@ -14,6 +14,12 @@ pub struct QDesc(pub u32);
 ///
 /// "Because queues have granularity, each qtoken is unique to a single
 /// queue operation" — a qtoken resolves exactly once, through `wait`.
+///
+/// The value is opaque, not a sequence number: the runtime packs a slot
+/// index of its operation table into the low 32 bits and that slot's
+/// generation into the high 32. Consuming a token bumps the generation,
+/// so a stale token stays invalid after its slot is reused; generations
+/// start at 1, so a value below 2³² never names a live operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QToken(pub u64);
 

@@ -7,6 +7,7 @@ use std::net::Ipv4Addr;
 
 use demi_memory::DemiBuffer;
 use demi_sched::Condition;
+use demi_telemetry::alloc::{self, CountingAlloc};
 use demikernel::types::{OperationResult, QToken};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
@@ -15,6 +16,11 @@ use net_stack::types::SocketAddr;
 use net_stack::{NetworkStack, StackConfig};
 use proptest::prelude::*;
 use sim_fabric::{Fabric, MacAddress, SimTime};
+
+/// Counts the test thread's heap allocations for the zero-allocation
+/// `wait_any` entry assert.
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, last)
@@ -238,6 +244,41 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
     for qt in tokens {
         rt.wait(qt, None).unwrap();
     }
+}
+
+/// The `wait_any` entry pass indexes the qtoken table in place: resolving
+/// a token that completed before the call, behind 1024 parked ones, builds
+/// no per-call map and allocates nothing.
+#[test]
+fn wait_any_entry_over_parked_tokens_allocates_nothing() {
+    const HERD: usize = 1024;
+    let rt = Runtime::new();
+    let conds: Vec<Condition> = (0..HERD).map(|_| Condition::new()).collect();
+    let mut tokens: Vec<QToken> = conds
+        .iter()
+        .map(|c| {
+            let c = c.clone();
+            rt.spawn_op("parked", async move {
+                c.wait().await;
+                OperationResult::Push
+            })
+        })
+        .collect();
+    tokens.push(rt.spawn_op("done", async { OperationResult::Connect }));
+    rt.pump();
+
+    let mut resolved = None;
+    let allocs = alloc::measure(|| resolved = Some(rt.wait_any(&tokens, None)));
+    let (idx, result) = resolved.unwrap().unwrap();
+    assert_eq!(idx, HERD, "the completed op resolved the wait");
+    assert!(matches!(result, OperationResult::Connect));
+    assert_eq!(allocs, 0, "wait_any entry allocated {allocs} times");
+
+    tokens.pop();
+    for c in &conds {
+        c.signal();
+    }
+    rt.wait_all(&tokens, None).unwrap();
 }
 
 /// Drives `chunks` through a fresh two-host TCP world and returns the byte
