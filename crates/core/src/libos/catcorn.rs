@@ -73,6 +73,8 @@ struct Inner {
     conns: HashMap<QpId, Rc<RefCell<Conn>>>,
     next_qd: u32,
     next_wr: u64,
+    /// The device's connection-manager event count as of the last pump.
+    cm_seen: u64,
 }
 
 /// The RDMA libOS.
@@ -83,6 +85,7 @@ pub struct Catcorn {
     pd: PdId,
     cq: CqId,
     inner: Rc<RefCell<Inner>>,
+    cm: Notify,
 }
 
 /// The cycle-free heart of catcorn: everything the I/O coroutines and the
@@ -98,17 +101,23 @@ struct Core {
     inner: Rc<RefCell<Inner>>,
     /// The runtime's metrics block (its own Rc, independent of the runtime).
     metrics: Metrics,
-    /// The runtime's activity gate (likewise cycle-free).
-    activity: Notify,
+    /// The connection-manager channel: fires when the device raised a CM
+    /// event, waking pending accepts and connects.
+    cm: Notify,
     clock: SimClock,
 }
 
 impl Core {
-    /// Drives the device and dispatches completions to their connections,
-    /// waking parked coroutines. Returns how many work items (frames +
-    /// completions) were processed.
+    /// Drives the device, signals the CM channel if the device raised a
+    /// connection-manager event, and dispatches completions to their
+    /// connections, waking parked coroutines. Returns how many work items
+    /// (frames + completions) were processed.
     fn pump(&self, now: sim_fabric::SimTime) -> usize {
         let frames = self.device.poll(now);
+        let cm_events = self.device.cm_events();
+        if std::mem::replace(&mut self.inner.borrow_mut().cm_seen, cm_events) != cm_events {
+            self.cm.notify_waiters();
+        }
         let completions = self.device.poll_cq(self.cq, 64);
         let work = frames + completions.len();
         if completions.is_empty() {
@@ -195,7 +204,9 @@ impl Catcorn {
                 conns: HashMap::new(),
                 next_qd: 1,
                 next_wr: 1,
+                cm_seen: 0,
             })),
+            cm: Notify::new(),
         };
         // The pump runs inside the runtime, so it must capture the
         // cycle-free core, not the libOS (which holds the runtime).
@@ -220,7 +231,7 @@ impl Catcorn {
             cq: self.cq,
             inner: self.inner.clone(),
             metrics: self.runtime.metrics().clone(),
-            activity: self.runtime.activity().clone(),
+            cm: self.cm.clone(),
             clock: self.runtime.clock().clone(),
         }
     }
@@ -304,9 +315,9 @@ impl LibOs for Catcorn {
         Ok(self.runtime.spawn_op("catcorn::accept", async move {
             let qp = core.device.create_qp(core.pd, core.cq, core.cq);
             loop {
-                // Connection requests arrive with device frames, so park on
-                // the runtime's activity gate between checks.
-                let wait = core.activity.notified();
+                // A request queued on the listener is a CM event; park on
+                // the CM channel between checks.
+                let wait = core.cm.notified();
                 let now = core.clock.now();
                 match core.device.accept(port, qp, now) {
                     Ok(true) => {
@@ -337,9 +348,9 @@ impl LibOs for Catcorn {
         let core = self.core();
         Ok(self.runtime.spawn_op("catcorn::connect", async move {
             loop {
-                // The QP reaches RTS when the handshake frames land; park on
-                // the activity gate between checks.
-                let wait = core.activity.notified();
+                // The QP leaves `Connecting` only on a CM event (response
+                // or give-up); park on the CM channel between checks.
+                let wait = core.cm.notified();
                 match core.device.qp_state(qp) {
                     Ok(QpState::Rts) => {
                         let conn = core.setup_conn(qp);

@@ -83,8 +83,8 @@ impl Catnap {
         let poll_sockets = sockets.clone();
         runtime.register_poller(move || poll_sockets.borrow_mut().poll());
         // All four blocking loops below (accept/connect/udp_pop/tcp_pop)
-        // wait on kernel-stack progress, which the poller reports; they
-        // park on the runtime's activity gate between checks.
+        // park on their socket's wait queue (`KernelSockets::readiness`):
+        // a frame wakes only the waiters of the socket it reached.
         let deadline_sockets = sockets.clone();
         runtime.register_deadline_source(move || deadline_sockets.borrow().next_deadline());
         Catnap {
@@ -181,16 +181,16 @@ impl LibOs for Catnap {
                 None => return Err(DemiError::BadQDesc),
             }
         };
-        // Capture only cycle-free pieces (`sockets`/`inner` are their own
-        // Rc's; `activity` is independent of the runtime): a coroutine
-        // holding a `Runtime` clone would form an Rc cycle (runtime ->
-        // scheduler -> task future -> runtime) and leak the world.
+        // Capture only cycle-free pieces (`sockets`/`inner`/`ready` are
+        // their own Rc's): a coroutine holding a `Runtime` clone would form
+        // an Rc cycle (runtime -> scheduler -> task future -> runtime) and
+        // leak the world.
         let sockets = self.sockets.clone();
         let inner = self.inner.clone();
-        let activity = self.runtime.activity().clone();
+        let ready = sockets.borrow().readiness(fd).map_err(sock_err)?;
         Ok(self.runtime.spawn_op("catnap::accept", async move {
             loop {
-                let wait = activity.notified();
+                let wait = ready.notified();
                 let accepted = sockets.borrow_mut().accept(fd);
                 match accepted {
                     Ok(Some(conn_fd)) => {
@@ -235,10 +235,10 @@ impl LibOs for Catnap {
             }
         };
         let sockets = self.sockets.clone();
-        let activity = self.runtime.activity().clone();
+        let ready = sockets.borrow().readiness(fd).map_err(sock_err)?;
         Ok(self.runtime.spawn_op("catnap::connect", async move {
             loop {
-                let wait = activity.notified();
+                let wait = ready.notified();
                 // Bind borrow results before matching: a borrow held in a
                 // match scrutinee would live across the await below.
                 let so_error = sockets.borrow().so_error(fd);
@@ -320,13 +320,13 @@ impl LibOs for Catnap {
             Some(CatnapQueue::Udp { fd }) => {
                 let fd = *fd;
                 let sockets = self.sockets.clone();
-                let activity = self.runtime.activity().clone();
                 drop(inner);
+                let ready = sockets.borrow().readiness(fd).map_err(sock_err)?;
                 Ok(self.runtime.spawn_op("catnap::udp_pop", async move {
                     // POSIX forces a user buffer the kernel copies into.
                     let mut buf = vec![0u8; 65_536];
                     loop {
-                        let wait = activity.notified();
+                        let wait = ready.notified();
                         let got = sockets.borrow_mut().recvfrom(fd, &mut buf);
                         match got {
                             Ok(Some((from, n))) => {
@@ -345,12 +345,12 @@ impl LibOs for Catnap {
                 let fd = *fd;
                 let decoder = decoder.clone();
                 let sockets = self.sockets.clone();
-                let activity = self.runtime.activity().clone();
                 drop(inner);
+                let ready = sockets.borrow().readiness(fd).map_err(sock_err)?;
                 Ok(self.runtime.spawn_op("catnap::tcp_pop", async move {
                     let mut buf = vec![0u8; 16_384];
                     loop {
-                        let wait = activity.notified();
+                        let wait = ready.notified();
                         // Stream read into a user buffer (copy), then
                         // reassemble the atomic unit from the bytes.
                         let got = sockets.borrow_mut().read(fd, &mut buf);

@@ -22,29 +22,28 @@
 //! generation compare, and learns which tokens it covers by stamping its
 //! wait id on their slots instead of building a per-call map.
 //!
-//! Scheduling is waker-driven: a `wait` runs scheduler passes only while
-//! the run queue is non-empty, and blocked coroutines park on waker
+//! Scheduling is waker-driven, with one wake discipline: a state change
+//! signals the object that changed. A `wait` runs scheduler passes only
+//! while the run queue is non-empty, and blocked coroutines park on waker
 //! sources — per-qtoken completion wakers ([`Runtime::await_op`]), queue
 //! and condition wakers, timer deadlines, or the readiness signal of the
 //! object they wait on, fired where that object's state changes (catnip
-//! parks on the stack's per-connection, per-listener and per-port
-//! signals, catfs on its device-completion signal). catnap and catcorn,
-//! whose device sims have no per-object readiness yet, park on the
-//! runtime's *activity gate* ([`Runtime::activity`]), which fires whenever
-//! external progress happens (frames delivered, device pollers did work,
-//! timers fired). Poller work counts, not wakeups, drive quiescence and
-//! clock advance. Deadlock is no longer a spin-count heuristic: when a
-//! pass polls nothing, nothing external moved, and virtual time cannot
-//! advance, one *rescue sweep* re-polls every live task (catching state
-//! changes that lack waker plumbing), and only if that, too, yields
-//! nothing is the wait declared deadlocked.
+//! and catnap park on the stack's per-connection, per-listener and
+//! per-port signals, catcorn on its connections' completion channels and
+//! its connection-manager channel, catfs on its device-completion
+//! signal). Poller work counts, not wakeups, drive quiescence and clock
+//! advance. Deadlock is not a spin-count heuristic: when a pass polls
+//! nothing, nothing external moved, and virtual time cannot advance, the
+//! wait is declared deadlocked. A state change that signals no one is
+//! therefore a deterministic [`DemiError::Deadlock`], never a silent
+//! stall.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
-use demi_sched::{Notify, PollPolicy, Scheduler, TaskHandle, TimerService};
+use demi_sched::{PollPolicy, Scheduler, TaskHandle, TimerService};
 use demi_telemetry::counters::{
     COMPLETION_CHECKS, WAIT_PASSES, WAIT_POLLS, WAKEUPS, WAKEUPS_WITH_DATA,
 };
@@ -266,10 +265,6 @@ struct Inner {
     deadline_sources: RefCell<Vec<DeadlineSource>>,
     ops: RefCell<OpTable>,
     metrics: Metrics,
-    /// The activity gate: notified whenever external progress happens, so
-    /// libOS coroutines with no per-object readiness signal (catnap,
-    /// catcorn) park here instead of yield-spinning.
-    activity: Notify,
 }
 
 /// The shared runtime (cheaply cloneable handle).
@@ -297,11 +292,6 @@ impl Runtime {
         Self::build(fabric.clock(), Some(fabric), PollPolicy::default())
     }
 
-    /// A fabric-sharing runtime with an explicit scheduler policy.
-    pub fn with_fabric_and_policy(fabric: Fabric, policy: PollPolicy) -> Self {
-        Self::build(fabric.clock(), Some(fabric), policy)
-    }
-
     /// A runtime on an existing clock (e.g., rebuilding a libOS over a
     /// device that outlives its first runtime).
     pub fn with_clock(clock: SimClock) -> Self {
@@ -319,7 +309,6 @@ impl Runtime {
                 deadline_sources: RefCell::new(Vec::new()),
                 ops: RefCell::new(OpTable::default()),
                 metrics: Metrics::new(),
-                activity: Notify::new(),
             }),
         }
     }
@@ -372,17 +361,6 @@ impl Runtime {
     pub fn enable_tracing(&self) {
         self.install_now_source();
         demi_telemetry::span::set_enabled(true);
-    }
-
-    /// The activity gate: fires after every batch of external progress
-    /// (frames delivered, poller work, timers fired). Coroutines waiting
-    /// on a device whose objects have no readiness signal of their own
-    /// park on `activity().notified()` and re-check their predicate when
-    /// woken; every waiter on the gate is re-polled on every event, so a
-    /// libOS that can say *which* object changed should signal that
-    /// object instead.
-    pub fn activity(&self) -> &Notify {
-        &self.inner.activity
     }
 
     /// Registers a function run on every scheduler pass (device RX pumps,
@@ -494,15 +472,8 @@ impl Runtime {
             fabric.deliver_due();
             external += (fabric.stats().frames_delivered - before) as usize;
         }
-        for poller in self.inner.pollers.borrow().iter() {
-            external += poller();
-        }
+        external += self.run_pollers();
         external += self.inner.timers.fire_due();
-        if external > 0 {
-            // Something moved in the outside world: wake every coroutine
-            // parked on the gate so it can re-check its predicate.
-            self.inner.activity.notify_waiters();
-        }
         // Run a scheduler pass only when there is woken work to run (the
         // legacy Sweep policy polls everyone, so it always "has work").
         let pass = if self.inner.scheduler.has_runnable()
@@ -517,6 +488,15 @@ impl Runtime {
             polled: pass.polled,
             external,
         }
+    }
+
+    /// Runs every device poller once; returns the work items they processed.
+    fn run_pollers(&self) -> usize {
+        let mut work = 0;
+        for poller in self.inner.pollers.borrow().iter() {
+            work += poller();
+        }
+        work
     }
 
     /// Advances virtual time to the earliest pending event, bounded by
@@ -571,16 +551,6 @@ impl Runtime {
         // Wake the sleepers whose deadlines were just reached.
         self.inner.timers.fire_due();
         true
-    }
-
-    /// The last line of defense before declaring deadlock: re-poll every
-    /// live task once (counted as spurious polls in the scheduler stats).
-    /// This catches state transitions that have no waker plumbing — e.g., a
-    /// protocol giving up after its last retry without emitting a frame.
-    /// Returns whether the sweep produced new work.
-    fn rescue_sweep(&self) -> bool {
-        let report = self.inner.scheduler.sweep_pass();
-        report.completed > 0 || self.inner.scheduler.has_runnable()
     }
 
     /// Consumes `qt` if its operation has completed. The slot's ready flag
@@ -660,8 +630,7 @@ impl Runtime {
 
     /// The shared blocking loop under `wait_any`/`wait_all`: pump the
     /// world, let the caller consume arrivals, and otherwise advance
-    /// virtual time — declaring deadlock only when a quiescent pass
-    /// survives a rescue sweep.
+    /// virtual time — declaring deadlock on the first quiescent pass.
     fn drive_wait<T>(
         &self,
         deadline: Option<SimTime>,
@@ -690,25 +659,9 @@ impl Runtime {
             // Run the pollers once more after any task polls so every
             // pending frame reaches the fabric; if that surfaces real
             // work, reprocess it before the clock is allowed to move.
-            let advanced = if report.completed == 0 {
-                let late_flush = if report.polled > 0 {
-                    let mut n = 0usize;
-                    for poller in self.inner.pollers.borrow().iter() {
-                        n += poller();
-                    }
-                    n
-                } else {
-                    0
-                };
-                if late_flush > 0 {
-                    self.inner.activity.notify_waiters();
-                    false
-                } else {
-                    self.advance(deadline)
-                }
-            } else {
-                false
-            };
+            let advanced = report.completed == 0
+                && (report.polled == 0 || self.run_pollers() == 0)
+                && self.advance(deadline);
             if consumed
                 || report.completed > 0
                 || report.polled > 0
@@ -718,10 +671,8 @@ impl Runtime {
                 continue;
             }
             // Quiescent: no woken tasks, no external work, no time to
-            // advance. One rescue sweep, then give up.
-            if self.rescue_sweep() {
-                continue;
-            }
+            // advance. Every state change signals the object that changed,
+            // so nothing parked can ever run again.
             if std::env::var("DEMI_DEBUG_DEADLOCK").is_ok() {
                 eprintln!(
                     "DEADLOCK: now={:?} live={:?} stats={:?}",
@@ -760,9 +711,8 @@ impl Runtime {
     ///
     /// The wait loop is event-driven, not spin-bounded: every iteration
     /// either ran woken tasks, absorbed external work, or advanced virtual
-    /// time. When none of those is possible the world is quiescent; after
-    /// a fruitless rescue sweep the wait reports [`DemiError::Deadlock`]
-    /// deterministically.
+    /// time. When none of those is possible the world is quiescent, and
+    /// the wait reports [`DemiError::Deadlock`] deterministically.
     pub fn wait_any(
         &self,
         qts: &[QToken],
@@ -1253,11 +1203,12 @@ mod tests {
     }
 
     #[test]
-    fn rescue_sweep_catches_wakerless_state_change() {
+    fn wakerless_state_change_is_reported_as_deadlock() {
         let rt = Runtime::new();
         // A future with NO waker plumbing: readiness flips as a side effect
         // of a deadline source moving the clock, but nobody wakes the task.
-        let clock = rt.clock().clone();
+        // Nothing sweeps parked tasks, so the missing wake is a
+        // deterministic deadlock at the instant the world went quiet.
         let fire_at = SimTime::from_micros(7);
         rt.register_deadline_source(move || Some(fire_at));
         let poll_clock = rt.clock().clone();
@@ -1272,11 +1223,10 @@ mod tests {
             .await;
             OperationResult::Push
         });
-        rt.wait(qt, None).unwrap();
-        assert_eq!(clock.now(), fire_at);
-        // The wait needed at least one rescue sweep to notice the flip
-        // (visible as extra passes beyond the wake-driven ones); the task
-        // still completed and the clock still advanced correctly.
-        assert!(rt.scheduler().stats().passes > 1);
+        assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
+        assert_eq!(rt.now(), fire_at);
+        let stats = rt.scheduler().stats();
+        assert_eq!(stats.polls, 1, "the parked task was re-polled unwoken");
+        assert_eq!(stats.spurious_polls, 0);
     }
 }

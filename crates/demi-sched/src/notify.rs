@@ -4,10 +4,10 @@
 //! have happened": a waiter snapshots the epoch when it starts waiting and
 //! completes once the epoch has advanced past the snapshot, so a
 //! notification delivered *between* the check and the park is never lost.
-//! The runtime uses one `Notify` as its activity gate (external progress —
-//! frames delivered, device completions, timers fired — bumps it), and the
-//! library OSes use dedicated instances for per-object events (queue
-//! readability, connection state changes).
+//! The library OSes use one instance per object a coroutine can wait on —
+//! a socket, a listener, a connection's completion channel, a device's
+//! command completions — and fire it where that object's state changes,
+//! so an event wakes only the waiters it concerns.
 //!
 //! The idiomatic wait loop re-checks its predicate after each wake:
 //!

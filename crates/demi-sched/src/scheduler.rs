@@ -30,8 +30,7 @@ pub enum PollPolicy {
     #[default]
     Wake,
     /// Legacy round-robin: a pass polls every live task regardless of
-    /// readiness. Kept for before/after benchmarking (e11) and as the
-    /// mechanism behind rescue sweeps.
+    /// readiness. Kept only as the baseline E11 benchmarks `Wake` against.
     Sweep,
 }
 
@@ -45,7 +44,7 @@ pub struct SchedulerStats {
     pub completed: u64,
     /// Total individual `Future::poll` invocations.
     pub polls: u64,
-    /// Total scheduler passes (`poll_once` / `run_pass` / `sweep_pass`).
+    /// Total scheduler passes (`poll_once` / `run_pass`).
     pub passes: u64,
     /// Total waker deliveries that made a task runnable. Redundant wakes of
     /// an already-queued task and wakes of completed tasks are not counted —
@@ -53,9 +52,8 @@ pub struct SchedulerStats {
     /// per completion" claim is about.
     pub wakeups: u64,
     /// Polls of tasks that had *not* been woken and returned `Pending`: pure
-    /// overhead. Zero by construction under [`PollPolicy::Wake`] (only
-    /// rescue sweeps add to it); grows O(live × passes) under
-    /// [`PollPolicy::Sweep`].
+    /// overhead. Zero by construction under [`PollPolicy::Wake`]; grows
+    /// O(live × passes) under [`PollPolicy::Sweep`].
     pub spurious_polls: u64,
 }
 
@@ -346,10 +344,9 @@ impl Scheduler {
     }
 
     /// Polls **every** live task once, regardless of readiness: the legacy
-    /// discipline, used as [`PollPolicy::Sweep`]'s pass and as the runtime's
-    /// rescue sweep before declaring deadlock. Polls of unwoken tasks that
+    /// discipline behind [`PollPolicy::Sweep`]. Polls of unwoken tasks that
     /// stay `Pending` are tallied as `spurious_polls`.
-    pub fn sweep_pass(&self) -> PassReport {
+    fn sweep_pass(&self) -> PassReport {
         let upper = {
             let mut inner = self.inner.borrow_mut();
             inner.stats.passes += 1;

@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use demi_memory::DemiBuffer;
+use demi_sched::Notify;
 use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::NetworkStack;
@@ -314,6 +315,20 @@ impl KernelSockets {
             }
             Some(FdKind::TcpListener { .. }) | Some(FdKind::TcpUnbound) => Ok(()),
             None => Err(SockError::BadFd),
+        }
+    }
+
+    /// The socket wait queue behind `fd`: the stack's readiness signal for
+    /// its UDP port, listener or connection, fired where that object's
+    /// state changes. Kernel-internal like [`KernelSockets::is_readable`],
+    /// so not a syscall. A TCP socket that is neither listening nor
+    /// connecting has nothing to wait on and is [`SockError::BadFd`].
+    pub fn readiness(&self, fd: Fd) -> Result<Notify, SockError> {
+        match self.fds.get(&fd).ok_or(SockError::BadFd)? {
+            FdKind::Udp { port } => Ok(self.stack.udp_readiness(*port)),
+            FdKind::TcpListener { listener } => Ok(self.stack.tcp_accept_readiness(*listener)),
+            FdKind::TcpConn { conn, .. } => Ok(self.stack.tcp_readiness(*conn)),
+            FdKind::TcpUnbound => Err(SockError::BadFd),
         }
     }
 

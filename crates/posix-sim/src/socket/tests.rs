@@ -212,3 +212,55 @@ fn connect_refused_surfaces_via_so_error() {
     settle(&fabric, &mut a, &mut b, |a, _| a.so_error(cfd).is_some());
     assert_eq!(a.so_error(cfd), Some(NetError::ConnectionRefused));
 }
+
+#[test]
+fn readiness_is_each_fds_stack_signal_and_costs_no_syscall() {
+    let fabric = Fabric::new(11);
+    let mut a = host(&fabric, 1);
+    let mut b = host(&fabric, 2);
+    let ufd = b.udp_socket(2000).unwrap();
+    let lfd = b.tcp_socket();
+    // A TCP socket neither listening nor connecting has nothing to wait on.
+    assert!(matches!(b.readiness(lfd), Err(SockError::BadFd)));
+    assert!(matches!(b.readiness(Fd(1234)), Err(SockError::BadFd)));
+    b.listen(lfd, 80, 8).unwrap();
+    let syscalls = b.kernel().stats().syscalls;
+    let udp = b.readiness(ufd).unwrap();
+    let listener = b.readiness(lfd).unwrap();
+    assert_eq!(
+        b.kernel().stats().syscalls,
+        syscalls,
+        "readiness is kernel-internal"
+    );
+
+    // UDP: a datagram to the port fires the port's signal, not the
+    // listener's.
+    let sender = a.udp_socket(1000).unwrap();
+    a.sendto(sender, SocketAddr::new(ip(2), 2000), b"x")
+        .unwrap();
+    settle(&fabric, &mut a, &mut b, |_, b| b.is_readable(ufd));
+    assert!(udp.epoch() > 0);
+    assert_eq!(listener.epoch(), 0);
+
+    // Listener: a completed handshake fires it; the connecting socket's
+    // own signal fires as its state moves.
+    let cfd = a.tcp_socket();
+    a.connect(cfd, SocketAddr::new(ip(2), 80)).unwrap();
+    let conn = a.readiness(cfd).unwrap();
+    settle(&fabric, &mut a, &mut b, |a, _| a.is_connected(cfd).unwrap());
+    assert!(conn.epoch() > 0);
+    let mut sfd = None;
+    settle(&fabric, &mut a, &mut b, |_, b| {
+        sfd = b.accept(lfd).unwrap();
+        sfd.is_some()
+    });
+    assert!(listener.epoch() > 0);
+
+    // Connection: data arriving on the accepted socket fires its signal.
+    let sfd = sfd.unwrap();
+    let accepted = b.readiness(sfd).unwrap();
+    let before = accepted.epoch();
+    a.write(cfd, b"hi").unwrap();
+    settle(&fabric, &mut a, &mut b, |_, b| b.is_readable(sfd));
+    assert!(accepted.epoch() > before);
+}

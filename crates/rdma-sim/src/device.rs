@@ -145,6 +145,8 @@ struct Inner {
     listeners: HashMap<u16, Listener>,
     next_id: u32,
     stats: RdmaDeviceStats,
+    /// Connection-manager events so far (see [`RdmaDevice::cm_events`]).
+    cm_events: u64,
 }
 
 /// One simulated RDMA NIC attached to the fabric.
@@ -177,6 +179,7 @@ impl RdmaDevice {
                 listeners: HashMap::new(),
                 next_id: 1,
                 stats: RdmaDeviceStats::default(),
+                cm_events: 0,
             })),
         }
     }
@@ -189,6 +192,15 @@ impl RdmaDevice {
     /// Device counters.
     pub fn stats(&self) -> RdmaDeviceStats {
         self.inner.borrow().stats
+    }
+
+    /// How many connection-manager events the device has raised: a
+    /// request queued on a listener, a connection response handled
+    /// (accepted or refused), or a connect that ran out of retries. The
+    /// rdmacm event channel's stand-in: a libOS that sees the count move
+    /// re-checks its pending accepts and connects.
+    pub fn cm_events(&self) -> u64 {
+        self.inner.borrow().cm_events
     }
 
     // ------------------------------------------------------------------
@@ -664,6 +676,7 @@ impl Inner {
                             .any(|&(m, q)| m == src && q == src_qp)
                         {
                             listener.pending.push_back((src, src_qp));
+                            self.cm_events += 1;
                         }
                     }
                     None => {
@@ -694,6 +707,7 @@ impl Inner {
                         }
                         q.connect_deadline = None;
                         q.connect_target = None;
+                        self.cm_events += 1;
                     }
                 }
             }
@@ -1117,6 +1131,7 @@ impl Inner {
                         if q.connect_retries_left == 0 {
                             q.state = QpState::Error;
                             q.connect_deadline = None;
+                            self.cm_events += 1;
                         } else {
                             q.connect_retries_left -= 1;
                             let (mac, port) = q.connect_target.expect("connecting");

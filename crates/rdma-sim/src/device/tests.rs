@@ -416,3 +416,44 @@ fn registration_cost_scales_with_pages() {
     assert!(many_pages.as_nanos() > one_page.as_nanos());
     assert!(one_page.as_nanos() >= 3_000, "fixed cost floor");
 }
+
+#[test]
+fn each_connection_manager_transition_is_one_cm_event() {
+    let (fabric, a, b) = world();
+    let now = || fabric.clock().now();
+    let apd = a.alloc_pd();
+    let acq = a.create_cq();
+    let bpd = b.alloc_pd();
+    let bcq = b.create_cq();
+    b.listen(18515).unwrap();
+
+    // A request queued on a listener; its retries are de-duplicated and
+    // raise nothing more.
+    let qp = a.create_qp(apd, acq, acq);
+    a.connect(qp, b.mac(), 18515, now()).unwrap();
+    settle(&fabric, &[&a, &b], || now() >= SimTime::from_micros(2_500));
+    assert_eq!((a.cm_events(), b.cm_events()), (0, 1));
+
+    // An accepted response handled by the connecting side.
+    let bqp = b.create_qp(bpd, bcq, bcq);
+    assert_eq!(b.accept(18515, bqp, now()), Ok(true));
+    settle(&fabric, &[&a, &b], || a.qp_state(qp) == Ok(QpState::Rts));
+    assert_eq!((a.cm_events(), b.cm_events()), (1, 1));
+
+    // A refused response (no listener on the port).
+    let refused = a.create_qp(apd, acq, acq);
+    a.connect(refused, b.mac(), 4444, now()).unwrap();
+    settle(&fabric, &[&a, &b], || {
+        a.qp_state(refused) == Ok(QpState::Error)
+    });
+    assert_eq!(a.cm_events(), 2);
+
+    // A connect that runs out of retries behind a partition.
+    fabric.partition(a.mac(), b.mac());
+    let lost = a.create_qp(apd, acq, acq);
+    a.connect(lost, b.mac(), 18515, now()).unwrap();
+    settle(&fabric, &[&a, &b], || {
+        a.qp_state(lost) == Ok(QpState::Error)
+    });
+    assert_eq!((a.cm_events(), b.cm_events()), (3, 1));
+}

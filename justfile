@@ -49,7 +49,7 @@ verify:
 verify-all:
     cargo build --workspace --release
     cargo test --workspace -q --no-fail-fast
-    DEMI_EXEC_MODE=threads cargo test -q
+    DEMI_EXEC_MODE=threads cargo test -q --no-fail-fast
     cargo test --release -q --test zero_copy_memory
     cargo test --release -q --test batching
     cargo test --release -q --test sharding

