@@ -31,7 +31,7 @@ use net_stack::types::SocketAddr;
 use rdma_sim::{
     Completion, CqId, MrAccess, MrId, PdId, QpId, QpState, RdmaDevice, WcOpcode, WcStatus,
 };
-use sim_fabric::{DeviceCaps, Fabric, MacAddress, SimClock};
+use sim_fabric::{DeviceCaps, Doorbell, Fabric, MacAddress, SimClock};
 
 use crate::libos::{LibOs, LibOsKind, SocketKind};
 use crate::metrics::Metrics;
@@ -210,11 +210,14 @@ impl Catcorn {
         };
         // The pump runs inside the runtime, so it must capture the
         // cycle-free core, not the libOS (which holds the runtime).
+        // The device is polled when a frame reached it or one of its
+        // transport timers (RTO, connect retry) came due.
         let pump = catcorn.core();
         let clock = runtime.clock().clone();
-        runtime.register_poller(move || pump.pump(clock.now()));
-        let deadline_dev = device.clone();
-        runtime.register_deadline_source(move || deadline_dev.next_deadline());
+        let bell = Doorbell::new();
+        device.ring_on_rx(bell.clone());
+        let deadline = runtime.register_gated_poller(bell, move || pump.pump(clock.now()));
+        device.publish_deadlines(deadline);
         catcorn
     }
 

@@ -24,7 +24,7 @@ use std::rc::Rc;
 
 use demi_sched::Notify;
 use demi_telemetry::counters::{CONTROL_PATH_SYSCALLS, POPS, PUSHES};
-use sim_fabric::{DeviceCaps, SimClock};
+use sim_fabric::{DeviceCaps, Doorbell, SimClock};
 use spdk_sim::nvme::{NvmeCompletion, NvmeDevice, QpairId, BLOCK_SIZE};
 
 use crate::libos::{LibOs, LibOsKind};
@@ -209,13 +209,15 @@ impl Catfs {
             })),
             completed: Notify::new(),
         };
-        // Pump device completions into the dispatch table each pass. The
-        // poller lives inside the runtime, so it must capture the cycle-free
-        // core, not the libOS (which holds the runtime).
+        // Pump device completions into the dispatch table when one is due:
+        // the device publishes its earliest completion instant, and the
+        // runtime rings the poller once it is reached. The poller lives
+        // inside the runtime, so it must capture the cycle-free core, not
+        // the libOS (which holds the runtime).
         let pump = catfs.core();
-        runtime.register_poller(move || pump.pump_completions());
-        let deadline_dev = device.clone();
-        runtime.register_deadline_source(move || deadline_dev.next_deadline());
+        let deadline =
+            runtime.register_gated_poller(Doorbell::new(), move || pump.pump_completions());
+        device.publish_deadlines(deadline);
         catfs
     }
 

@@ -78,15 +78,20 @@ impl Catnap {
         let stack = NetworkStack::new(port, fabric.clock(), StackConfig::new(ip));
         let kernel = SimKernel::new(fabric.clock(), cost);
         let sockets = Rc::new(RefCell::new(KernelSockets::new(kernel.clone(), stack)));
-        // "Kernel context" work (softirq): runs on every pass, like the
-        // kernel servicing the NIC — not charged as a syscall.
-        let poll_sockets = sockets.clone();
-        runtime.register_poller(move || poll_sockets.borrow_mut().poll());
+        // "Kernel context" work (softirq): runs when the kernel stack's
+        // doorbell rang — the NIC interrupt of a real kernel — not charged
+        // as a syscall. The kernel stack publishes its timers itself.
+        for shard in 0..sockets.borrow().stack().num_shards() {
+            let poll_sockets = sockets.clone();
+            let bell = sockets.borrow().stack().doorbell(shard);
+            let deadline = runtime.register_gated_poller(bell, move || {
+                poll_sockets.borrow().stack().poll_shard(shard)
+            });
+            sockets.borrow().stack().publish_deadlines(shard, deadline);
+        }
         // All four blocking loops below (accept/connect/udp_pop/tcp_pop)
         // park on their socket's wait queue (`KernelSockets::readiness`):
         // a frame wakes only the waiters of the socket it reached.
-        let deadline_sockets = sockets.clone();
-        runtime.register_deadline_source(move || deadline_sockets.borrow().next_deadline());
         Catnap {
             runtime: runtime.clone(),
             sockets,

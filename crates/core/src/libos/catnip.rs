@@ -120,20 +120,20 @@ impl Catnip {
             config,
             ports,
         ));
-        // The libOS polls its device on every scheduler pass — one poller
-        // per stack shard, so each shard's RX queue, timers, and TX ring
-        // advance as an independently-reported unit of work. It also
-        // exposes its protocol timers for clock advancement.
+        // One gated poller per stack shard: the runtime polls a shard only
+        // when its doorbell rang (a delivery, a TX push, a cross-shard
+        // send, a reached deadline), and the shard publishes its protocol
+        // timers into the runtime's deadline index.
         for shard in 0..stack.num_shards() {
             let poll_stack = stack.clone();
-            runtime.register_poller(move || poll_stack.poll_shard(shard));
+            let deadline = runtime
+                .register_gated_poller(stack.doorbell(shard), move || poll_stack.poll_shard(shard));
+            stack.publish_deadlines(shard, deadline);
         }
         // Every blocking loop below parks on the readiness signal of the
         // one socket it waits on, which the stack fires where that
         // socket's state changes: a frame wakes its own connection's
         // waiters, not every parked coroutine in the world.
-        let deadline_stack = stack.clone();
-        runtime.register_deadline_source(move || deadline_stack.next_deadline());
         Catnip {
             runtime: runtime.clone(),
             stack,

@@ -8,8 +8,7 @@
 //! One `Runtime` is shared by every libOS instance in a simulation:
 //! client and server co-run as coroutines on one virtual CPU, and when
 //! every task is blocked the runtime advances virtual time to the next
-//! event — a fabric delivery, a protocol timer, or a device completion
-//! (registered as *deadline sources*).
+//! event — a fabric delivery, a protocol timer, or a device completion.
 //!
 //! `wait` gives the paper's two improvements over epoll by construction:
 //! it returns the completed operation's data directly (no second syscall),
@@ -31,12 +30,26 @@
 //! and catnap park on the stack's per-connection, per-listener and
 //! per-port signals, catcorn on its connections' completion channels and
 //! its connection-manager channel, catfs on its device-completion
-//! signal). Poller work counts, not wakeups, drive quiescence and clock
-//! advance. Deadlock is not a spin-count heuristic: when a pass polls
-//! nothing, nothing external moved, and virtual time cannot advance, the
-//! wait is declared deadlocked. A state change that signals no one is
-//! therefore a deterministic [`DemiError::Deadlock`], never a silent
-//! stall.
+//! signal).
+//!
+//! The device side follows the same rule. Each libOS registers its device
+//! pollers with a [`Doorbell`] ([`Runtime::register_gated_poller`]), and a
+//! pump runs a poller only when its bell was rung. The owner of each queue
+//! rings at the enqueue: the fabric on delivery into an endpoint mailbox,
+//! the stack on a TX-ring push or a cross-shard send, a poller that left
+//! backlog on itself. Deadlines are pushed, not pulled: each device
+//! publishes its earliest deadline into one runtime-owned
+//! [`DeadlineIndex`] slot, every pump rings the owners whose deadline has
+//! been reached, and clock advance reads one minimum. A pump that finds no
+//! bell rung costs no device work at all.
+//!
+//! Poller work counts, not wakeups, drive quiescence and clock advance.
+//! Deadlock is not a spin-count heuristic: when a pass polls nothing,
+//! nothing external moved, no bell is rung, and virtual time cannot
+//! advance, the wait is declared deadlocked. A state change that signals
+//! no one — a parked task never woken, or queued device work whose bell
+//! never rang — is therefore a deterministic [`DemiError::Deadlock`],
+//! never a silent stall.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -45,18 +58,23 @@ use std::rc::Rc;
 
 use demi_sched::{PollPolicy, Scheduler, TaskHandle, TimerService};
 use demi_telemetry::counters::{
-    COMPLETION_CHECKS, WAIT_PASSES, WAIT_POLLS, WAKEUPS, WAKEUPS_WITH_DATA,
+    COMPLETION_CHECKS, POLLER_RUNS, WAIT_PASSES, WAIT_POLLS, WAKEUPS, WAKEUPS_WITH_DATA,
 };
-use sim_fabric::{Fabric, SimClock, SimTime};
+use sim_fabric::{DeadlineHandle, DeadlineIndex, Doorbell, Fabric, SimClock, SimTime};
 
 use crate::metrics::Metrics;
 use crate::types::{DemiError, OperationResult, QToken};
 
-/// A device-poll hook run on every scheduler pass; returns how many work
-/// items (frames, completions, readiness transitions) it processed, so the
-/// runtime can tell external progress from idle spinning.
-type Poller = Box<dyn Fn() -> usize>;
-/// A source of timer deadlines consulted when all tasks block.
+/// A device-poll hook; returns how many work items (frames, completions,
+/// readiness transitions) it processed, so the runtime can tell external
+/// progress from idle spinning. A poller with a bell runs only when the
+/// bell was rung; one without runs on every pump.
+struct Poller {
+    run: Box<dyn Fn() -> usize>,
+    bell: Option<Doorbell>,
+}
+
+/// A pull-style deadline source, asked on every clock advance.
 type DeadlineSource = Box<dyn Fn() -> Option<SimTime>>;
 
 /// What one pump did: the scheduler's pass counters plus the external work
@@ -263,6 +281,7 @@ struct Inner {
     fabric: Option<Fabric>,
     pollers: RefCell<Vec<Poller>>,
     deadline_sources: RefCell<Vec<DeadlineSource>>,
+    deadlines: DeadlineIndex,
     ops: RefCell<OpTable>,
     metrics: Metrics,
 }
@@ -307,6 +326,7 @@ impl Runtime {
                 fabric,
                 pollers: RefCell::new(Vec::new()),
                 deadline_sources: RefCell::new(Vec::new()),
+                deadlines: DeadlineIndex::new(),
                 ops: RefCell::new(OpTable::default()),
                 metrics: Metrics::new(),
             }),
@@ -363,16 +383,44 @@ impl Runtime {
         demi_telemetry::span::set_enabled(true);
     }
 
-    /// Registers a function run on every scheduler pass (device RX pumps,
-    /// stack `poll()`s). The poller reports how many work items it
-    /// processed; `0` means "nothing happened", letting the runtime detect
-    /// quiescence without spin counting.
+    /// Registers a function run on every pump, in registration order among
+    /// all pollers, whether or not any bell rang. No libOS uses this — their
+    /// device pollers are gated ([`Runtime::register_gated_poller`]); it
+    /// serves instrumentation that must observe every pump, such as trace
+    /// brackets around the gated pollers. The poller reports how many work
+    /// items it processed; `0` means "nothing happened".
     pub fn register_poller(&self, poller: impl Fn() -> usize + 'static) {
-        self.inner.pollers.borrow_mut().push(Box::new(poller));
+        self.inner.pollers.borrow_mut().push(Poller {
+            run: Box::new(poller),
+            bell: None,
+        });
     }
 
-    /// Registers a source of timer deadlines consulted when all tasks are
-    /// blocked (TCP RTO, device completion times, ...).
+    /// Registers a device poller that a pump runs only after `bell` was
+    /// rung, and returns the deadline slot through which its device
+    /// publishes its earliest deadline; a pump that finds that deadline
+    /// reached rings `bell`. The device rings `bell` itself wherever it
+    /// queues work for the poller, and a poller that leaves work behind
+    /// (an exhausted RX budget) rings its own bell. Queued work whose bell
+    /// never rings is never polled: the wait reports it as
+    /// [`DemiError::Deadlock`].
+    pub fn register_gated_poller(
+        &self,
+        bell: Doorbell,
+        poller: impl Fn() -> usize + 'static,
+    ) -> DeadlineHandle {
+        let deadline = self.inner.deadlines.handle(bell.clone());
+        self.inner.pollers.borrow_mut().push(Poller {
+            run: Box::new(poller),
+            bell: Some(bell),
+        });
+        deadline
+    }
+
+    /// Registers a pull-style source of timer deadlines, asked on every
+    /// clock advance, after the pushed deadline index. No libOS uses this —
+    /// devices publish through the handle [`Runtime::register_gated_poller`]
+    /// returns; it serves instrumentation that must observe every advance.
     pub fn register_deadline_source(&self, source: impl Fn() -> Option<SimTime> + 'static) {
         self.inner
             .deadline_sources
@@ -437,9 +485,10 @@ impl Runtime {
         let _ = self.inner.scheduler.spawn(name, task);
     }
 
-    /// One cooperative pass: deliver due frames, run device pollers, fire
-    /// due timers, then one scheduler pass over the *woken* tasks. Returns
-    /// the number of tasks that completed.
+    /// One cooperative pass: deliver due frames, ring the owners of reached
+    /// deadlines, run the pollers whose bells rang, fire due timers, then
+    /// one scheduler pass over the *woken* tasks. Returns the number of
+    /// tasks that completed.
     ///
     /// Frame delivery must happen here and not only in the internal advance
     /// because virtual time also moves through *cost charges* (the
@@ -472,7 +521,10 @@ impl Runtime {
             fabric.deliver_due();
             external += (fabric.stats().frames_delivered - before) as usize;
         }
-        external += self.run_pollers();
+        // Deadlines passed since the last pump — by `advance`, or by a cost
+        // charge moving the clock inside a task — ring their owners here.
+        self.inner.deadlines.ring_due(self.inner.clock.now());
+        external += self.run_pollers(false);
         external += self.inner.timers.fire_due();
         // Run a scheduler pass only when there is woken work to run (the
         // legacy Sweep policy polls everyone, so it always "has work").
@@ -490,22 +542,43 @@ impl Runtime {
         }
     }
 
-    /// Runs every device poller once; returns the work items they processed.
-    fn run_pollers(&self) -> usize {
+    /// Runs, in registration order, every poller whose bell is rung — and,
+    /// unless `rung_only`, every bell-less poller. A bell rung by an earlier
+    /// poller of the same round is answered in that round. Returns the work
+    /// items they processed.
+    fn run_pollers(&self, rung_only: bool) -> usize {
         let mut work = 0;
         for poller in self.inner.pollers.borrow().iter() {
-            work += poller();
+            match &poller.bell {
+                Some(bell) if bell.take() => {
+                    self.inner.metrics.count(POLLER_RUNS);
+                    work += (poller.run)();
+                }
+                None if !rung_only => work += (poller.run)(),
+                _ => {}
+            }
         }
         work
     }
 
     /// Advances virtual time to the earliest pending event, bounded by
     /// `limit`. Returns `false` when nothing can advance.
+    ///
+    /// Work already pending at this instant is progress, not a reason to
+    /// jump the clock. A rung bell is such work — typically frames a task
+    /// just pushed onto a TX coalescing ring, invisible to the fabric
+    /// until flushed — so the rung pollers run first, and if they did
+    /// anything the clock stays for the next pump to process it.
     fn advance(&self, limit: Option<SimTime>) -> bool {
         let now = self.inner.clock.now();
+        self.inner.deadlines.ring_due(now);
+        if self.run_pollers(true) > 0 {
+            return true;
+        }
         // Frames already due (their delivery instant was passed by a cost
-        // charge) are pending work, not a reason to jump the clock: deliver
-        // them and report progress so the next pump processes them.
+        // charge, or a flush just above sent them over a zero-latency link)
+        // are pending work too: deliver them and report progress so the
+        // next pump processes them.
         if let Some(fabric) = &self.inner.fabric {
             if fabric.next_event_time().is_some_and(|t| t <= now) {
                 fabric.deliver_due();
@@ -527,6 +600,7 @@ impl Runtime {
             consider(fabric.next_event_time());
         }
         consider(self.inner.timers.earliest_deadline());
+        consider(self.inner.deadlines.earliest_after(now));
         for source in self.inner.deadline_sources.borrow().iter() {
             consider(source());
         }
@@ -650,18 +724,7 @@ impl Runtime {
                     return Err(DemiError::Timeout);
                 }
             }
-            // A pump pass runs pollers *before* the scheduler, so a
-            // coroutine polled this pass may have enqueued frames on a TX
-            // coalescing ring that no poller has flushed yet — work
-            // invisible to `advance` (no fabric event exists until the
-            // flush). Jumping the clock here would hold those frames
-            // across the jump, charging them whole timer gaps of latency.
-            // Run the pollers once more after any task polls so every
-            // pending frame reaches the fabric; if that surfaces real
-            // work, reprocess it before the clock is allowed to move.
-            let advanced = report.completed == 0
-                && (report.polled == 0 || self.run_pollers() == 0)
-                && self.advance(deadline);
+            let advanced = report.completed == 0 && self.advance(deadline);
             if consumed
                 || report.completed > 0
                 || report.polled > 0
@@ -670,9 +733,9 @@ impl Runtime {
             {
                 continue;
             }
-            // Quiescent: no woken tasks, no external work, no time to
-            // advance. Every state change signals the object that changed,
-            // so nothing parked can ever run again.
+            // Quiescent: no woken tasks, no external work, no bell rung,
+            // no time to advance. Every state change signals the object
+            // that changed, so nothing parked can ever run again.
             if std::env::var("DEMI_DEBUG_DEADLOCK").is_ok() {
                 eprintln!(
                     "DEADLOCK: now={:?} live={:?} stats={:?}",
@@ -1140,6 +1203,138 @@ mod tests {
         });
         rt.wait(qt, None).unwrap();
         assert_eq!(rt.now(), fire_at);
+    }
+
+    /// A poller holding queued work whose doorbell never rings is never
+    /// run: the wait reports the missed ring as a deadlock at the instant
+    /// the world went quiet, and ringing the bell is what releases it.
+    #[test]
+    fn gated_poller_whose_bell_never_rings_is_a_deadlock() {
+        let rt = Runtime::new();
+        let queued = Rc::new(Cell::new(1usize));
+        let delivered = demi_sched::Condition::new();
+        let bell = Doorbell::new();
+        let _deadline = rt.register_gated_poller(bell.clone(), {
+            let (queued, delivered) = (queued.clone(), delivered.clone());
+            move || {
+                let n = queued.replace(0);
+                if n > 0 {
+                    delivered.signal();
+                }
+                n
+            }
+        });
+        let timers = rt.timers().clone();
+        let qt = rt.spawn_op("consumer", async move {
+            timers.sleep(SimTime::from_micros(5)).await;
+            delivered.wait().await;
+            OperationResult::Push
+        });
+        assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
+        assert_eq!(rt.now(), SimTime::from_micros(5));
+        assert_eq!(queued.get(), 1, "the unrung poller ran");
+        assert_eq!(rt.metrics().snapshot().poller_runs, 0);
+        bell.ring();
+        assert!(matches!(rt.wait(qt, None), Ok(OperationResult::Push)));
+        assert_eq!(rt.metrics().snapshot().poller_runs, 1);
+    }
+
+    /// A deadline published through the handle drives clock advance and
+    /// rings its poller when reached; publishing `None` withdraws it.
+    #[test]
+    fn published_deadlines_drive_advancement_until_withdrawn() {
+        let rt = Runtime::new();
+        let runs = Rc::new(Cell::new(0usize));
+        let deadline = rt.register_gated_poller(Doorbell::new(), {
+            let runs = runs.clone();
+            move || {
+                runs.set(runs.get() + 1);
+                0
+            }
+        });
+        let fire_at = SimTime::from_micros(42);
+        deadline.set(Some(fire_at));
+        let clock = rt.clock().clone();
+        let qt = rt.spawn_op("ext", async move {
+            while clock.now() < fire_at {
+                yield_once().await;
+            }
+            OperationResult::Push
+        });
+        rt.wait(qt, None).unwrap();
+        assert_eq!(rt.now(), fire_at);
+        assert_eq!(runs.get(), 1, "reaching the deadline rang its poller");
+
+        // A withdrawn deadline is nothing to advance to: a parked wait is
+        // quiescent where it stands.
+        deadline.set(Some(SimTime::from_micros(100)));
+        deadline.set(None);
+        let never = demi_sched::Condition::new();
+        let qt = rt.spawn_op("parked", async move {
+            never.wait().await;
+            OperationResult::Push
+        });
+        assert_eq!(rt.wait(qt, None), Err(DemiError::Deadlock));
+        assert_eq!(rt.now(), fire_at);
+    }
+
+    /// The clock also moves outside `advance` (cost charges, a test moving
+    /// it by hand): a deadline passed that way rings its owner on the next
+    /// pump.
+    #[test]
+    fn deadline_passed_outside_advance_rings_on_the_next_pump() {
+        let rt = Runtime::new();
+        let runs = Rc::new(Cell::new(0usize));
+        let deadline = rt.register_gated_poller(Doorbell::new(), {
+            let runs = runs.clone();
+            move || {
+                runs.set(runs.get() + 1);
+                0
+            }
+        });
+        deadline.set(Some(SimTime::from_micros(10)));
+        rt.pump();
+        assert_eq!(runs.get(), 0, "a future deadline rang early");
+        rt.clock().advance_to(SimTime::from_micros(20));
+        rt.pump();
+        assert_eq!(runs.get(), 1);
+    }
+
+    /// A task can move the clock past a published deadline (a kernel cost
+    /// charge does): the owner is rung and served at that instant, before
+    /// the clock jumps on to the next event.
+    #[test]
+    fn deadline_passed_by_a_task_is_served_before_the_clock_jumps() {
+        let rt = Runtime::new();
+        let served = demi_sched::Condition::new();
+        let served_at = Rc::new(Cell::new(None));
+        let deadline = rt.register_gated_poller(Doorbell::new(), {
+            let (served, served_at, clock) =
+                (served.clone(), served_at.clone(), rt.clock().clone());
+            move || {
+                if served_at.get().is_some() {
+                    return 0;
+                }
+                served_at.set(Some(clock.now()));
+                served.signal();
+                1
+            }
+        });
+        deadline.set(Some(SimTime::from_micros(10)));
+        let timers = rt.timers().clone();
+        let _later = rt.spawn_op("later", async move {
+            timers.sleep(SimTime::from_micros(100)).await;
+            OperationResult::Push
+        });
+        let clock = rt.clock().clone();
+        let qt = rt.spawn_op("charged", async move {
+            clock.advance_to(SimTime::from_micros(20));
+            served.wait().await;
+            OperationResult::Push
+        });
+        rt.wait(qt, None).unwrap();
+        assert_eq!(served_at.get(), Some(SimTime::from_micros(20)));
+        assert_eq!(rt.now(), SimTime::from_micros(20));
     }
 
     #[test]

@@ -313,6 +313,9 @@ counters! {
     /// operations are parked; under the legacy sweep policy it grows with
     /// the number of outstanding operations (E11).
     instance WAIT_POLLS: wait_polls;
+    /// Device pollers the runtime ran because their doorbell rang. A pump
+    /// whose bells are all silent runs none.
+    instance POLLER_RUNS: poller_runs;
     /// Buffer allocations (E12): pool allocations (warm or cold) plus
     /// unpooled `DemiBuffer` constructions. Handle clones and slices never
     /// count. Thread-wide: in a two-host simulation this covers both ends

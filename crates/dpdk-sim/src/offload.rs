@@ -422,6 +422,11 @@ impl TcpOffload {
         self.events.drain(..).collect()
     }
 
+    /// Whether sync events wait for a consumer.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Puts events a consumer could not apply back at the *front* of the
     /// queue, preserving order. The host's per-shard planners share one
     /// engine: each drains the queue, applies the events for flows it

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use demi_telemetry::counters::{
     self, RX_QUEUE_DROPPED, RX_QUEUE_ENQUEUED, TX_BURST_CALLS, TX_FRAMES_PER_BURST,
 };
-use sim_fabric::{DeviceCaps, Endpoint, Fabric, MacAddress};
+use sim_fabric::{DeviceCaps, Doorbell, Endpoint, Fabric, MacAddress};
 
 use crate::mbuf::Mbuf;
 use crate::mempool::Mempool;
@@ -227,6 +227,24 @@ impl DpdkPort {
         let mut inner = self.inner.borrow_mut();
         inner.pump();
         inner.rx_rings[queue as usize].len()
+    }
+
+    /// Frames already in RX queue `queue`'s descriptor ring, without
+    /// pumping arrivals from the fabric.
+    pub fn rx_ring_len(&self, queue: u16) -> usize {
+        self.inner.borrow().rx_rings[queue as usize].len()
+    }
+
+    /// Rings `bell` whenever the fabric delivers a frame to this port.
+    pub fn ring_on_rx(&self, bell: Doorbell) {
+        self.inner.borrow().endpoint.ring_on_delivery(bell);
+    }
+
+    /// Whether any RX queue has a cross-thread ingress ring attached
+    /// ([`DpdkPort::attach_rx_ingress`]): frames can then arrive without
+    /// a fabric delivery to announce them.
+    pub fn has_rx_ingress(&self) -> bool {
+        self.inner.borrow().ingress.iter().any(Option::is_some)
     }
 
     /// Attaches a cross-thread ingress ring to RX queue `queue` and

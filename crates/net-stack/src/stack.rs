@@ -1,10 +1,27 @@
 //! The assembled stack: Ethernet/ARP/IPv4/ICMP/UDP/TCP over a DPDK port.
 //!
 //! [`NetworkStack`] is what the `catnip` library OS instantiates per device.
-//! It is poll-driven and non-blocking end to end: a scheduler coroutine
-//! calls [`NetworkStack::poll`] each pass, then checks handle-based socket
-//! APIs for completions. Received payloads are delivered as zero-copy
+//! It is poll-driven and non-blocking end to end: the runtime calls
+//! [`NetworkStack::poll_shard`] for a shard when that shard's
+//! [`Doorbell`] rang, then checks handle-based socket APIs for
+//! completions. Received payloads are delivered as zero-copy
 //! [`DemiBuffer`] views into the device's mbufs.
+//!
+//! # Doorbells and deadlines
+//!
+//! Each shard owns a doorbell, rung wherever work is queued for its next
+//! poll pass: the fabric rings it on delivery into the port's mailbox,
+//! the shard itself on a TX coalescing-ring push (where every facade
+//! call's TCP segments land) or a tenant-lane stage, a facade call that
+//! may have made an offloaded flow armable, a cross-shard ring send, an
+//! offload sync event left for another shard, and a pass that ends with
+//! backlog (RX budget exhausted, DRR leftover) or with a cross-thread
+//! input attached.
+//!
+//! Each shard also publishes its earliest protocol deadline (ARP retry,
+//! TCP timers, token-bucket wakeups) through the [`DeadlineHandle`] given
+//! to [`NetworkStack::publish_deadlines`], after every pass and every
+//! facade mutation, so the runtime never asks for it.
 //!
 //! # Sharding
 //!
@@ -37,9 +54,10 @@
 //! them round-robin — the pre-sharding behavior, kept as the A/B baseline
 //! (and fixing the historical bug where only queue 0 was ever drained).
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -54,7 +72,7 @@ use dpdk_sim::{
     rss, DpdkPort, FlowKey, FlowShadow, Mbuf, NicProgram, OffloadEvent, OffloadService,
     OffloadStats, ProgramSlot, TcpOffload,
 };
-use sim_fabric::{MacAddress, SimClock, SimTime};
+use sim_fabric::{DeadlineHandle, Doorbell, MacAddress, SimClock, SimTime};
 
 use crate::fasthash::{FastHashMap, FastHashSet};
 use crate::ports::PortAllocator;
@@ -275,6 +293,9 @@ struct ShardOffload {
 /// One host's user-level network stack bound to one device port.
 pub struct NetworkStack {
     shards: Vec<RefCell<Shard>>,
+    /// Each shard's doorbell, by shard index: one shard's pass rings
+    /// another's on a cross-shard send.
+    bells: Vec<Doorbell>,
     /// In-world cross-shard rings, one endpoint per shard. Same protocol
     /// and bounds as the cross-thread mesh; only the draining thread
     /// differs.
@@ -313,6 +334,12 @@ impl NetworkStack {
         } else {
             1
         };
+        // Every shard may drain frames out of the shared mailbox into its
+        // own queue, so a delivery rings them all.
+        let bells: Vec<Doorbell> = (0..num_shards).map(|_| Doorbell::new()).collect();
+        for bell in bells.iter() {
+            port.ring_on_rx(bell.clone());
+        }
         let shards = (0..num_shards)
             .map(|i| {
                 let queues: Vec<u16> = if config.sharded {
@@ -334,6 +361,8 @@ impl NetworkStack {
                 RefCell::new(Shard {
                     index: i,
                     num_shards,
+                    bell: bells[i].clone(),
+                    deadline: None,
                     queues,
                     rr_next: 0,
                     arp: ArpCache::new(config.arp_ttl, config.arp_retry, config.arp_tries),
@@ -368,6 +397,7 @@ impl NetworkStack {
             .collect();
         NetworkStack {
             shards,
+            bells,
             rings,
             external: RefCell::new(None),
             offload: RefCell::new(None),
@@ -394,6 +424,30 @@ impl NetworkStack {
             s.borrow_mut().global = Some((gidx as u16, gtotal as u16));
         }
         *self.external.borrow_mut() = Some(ExternalLinks { rings: links });
+        // Cross-thread frames arrive with no doorbell to announce them:
+        // shard 0, which drains the inbox, stays rung on every pass.
+        self.bells[0].ring();
+    }
+
+    /// The doorbell of shard `index`: rung whenever work is queued for the
+    /// shard's next [`NetworkStack::poll_shard`].
+    pub fn doorbell(&self, index: usize) -> Doorbell {
+        self.bells[index].clone()
+    }
+
+    /// From now on, publishes shard `index`'s earliest protocol deadline
+    /// (what [`NetworkStack::next_deadline`] would answer for that shard)
+    /// through `deadline`, after every poll pass and facade mutation.
+    pub fn publish_deadlines(&self, index: usize, deadline: DeadlineHandle) {
+        let mut shard = self.shards[index].borrow_mut();
+        shard.deadline = Some(deadline);
+        shard.publish_deadline();
+    }
+
+    /// A mutable borrow of shard `index` that, when released, publishes the
+    /// shard's deadline and rings its bell for work the caller left queued.
+    fn shard_mut(&self, index: usize) -> ShardMut<'_> {
+        ShardMut(self.shards[index].borrow_mut())
     }
 
     /// The shared TCP port namespace this stack allocates from.
@@ -449,8 +503,10 @@ impl NetworkStack {
     /// frames), advance its protocol timers, hand its coalesced outgoing
     /// frames to the device in one burst, then *send* any frames and ARP
     /// bindings staged for other shards over the rings (never a direct
-    /// borrow of another shard — it may live on another thread). This is
-    /// the unit the runtime registers one poller per shard for.
+    /// borrow of another shard — it may live on another thread), ringing
+    /// each receiver's bell. This is the unit the runtime registers one
+    /// gated poller per shard for. The pass answers the shard's own bell;
+    /// it rings it again only for work it leaves behind.
     pub fn poll_shard(&self, index: usize) -> usize {
         // Ring drain happens at the pass boundary: messages peers sent
         // during *their* passes become this shard's handoffs/bindings now.
@@ -460,7 +516,8 @@ impl NetworkStack {
             rings.drain(|msg| shard.on_shard_msg(msg))
         };
         // Shard 0 also drains this world's cross-thread inbox.
-        if index == 0 {
+        let external = index == 0 && self.external.borrow().is_some();
+        if external {
             if let Some(ext) = self.external.borrow_mut().as_mut() {
                 let mut shard = self.shards[0].borrow_mut();
                 work += ext.rings.drain(|msg| shard.on_shard_msg(msg));
@@ -468,7 +525,23 @@ impl NetworkStack {
         }
         let (w, forwards, ext_forwards, learned) = {
             let mut shard = self.shards[index].borrow_mut();
-            let work = shard.poll_pass();
+            let (work, backlog) = shard.poll_pass();
+            // Everything queued for this shard before or during the pass
+            // was served by it; what it could not finish rings it again,
+            // as does a cross-thread input, which no bell announces.
+            shard.bell.take();
+            if backlog || external || shard.port.has_rx_ingress() {
+                shard.bell.ring();
+            }
+            // Sync events this shard restored for flows other shards own.
+            if shard
+                .offload
+                .as_ref()
+                .is_some_and(|o| o.engine.borrow().has_events())
+            {
+                self.bells.iter().for_each(Doorbell::ring);
+            }
+            shard.publish_deadline();
             (
                 work,
                 std::mem::take(&mut shard.forwards),
@@ -485,7 +558,7 @@ impl NetworkStack {
             let mut rings = self.rings[index].borrow_mut();
             for (target, mbuf) in forwards {
                 let sent = rings.send(target, ShardMsg::Frame(mbuf.as_slice().to_vec()));
-                work += self.note_send(index, sent);
+                work += self.note_send(index, Some(target), sent);
             }
             // ARP bindings learned on one shard serve the whole host:
             // another shard may be the one holding packets queued on that
@@ -494,25 +567,26 @@ impl NetworkStack {
                 for j in 0..self.num_shards {
                     if j != index {
                         let sent = rings.send(j, ShardMsg::ArpLearn(ip, mac));
-                        work += self.note_send(index, sent);
+                        work += self.note_send(index, Some(j), sent);
                     }
                 }
             }
         }
         // Cross-thread links: frames owned by another world, plus the
         // same ARP broadcast (a peer world may hold packets pending on
-        // the resolution this world just completed).
+        // the resolution this world just completed). The receiving world
+        // keeps its draining shard rung, so no bell crosses the thread.
         if let Some(ext) = self.external.borrow_mut().as_mut() {
             let gidx = ext.rings.index();
             for (world, bytes) in ext_forwards {
                 let sent = ext.rings.send(world, ShardMsg::Frame(bytes));
-                work += self.note_send(index, sent);
+                work += self.note_send(index, None, sent);
             }
             for &(ip, mac) in &learned {
                 for world in 0..ext.rings.num_shards() {
                     if world != gidx {
                         let sent = ext.rings.send(world, ShardMsg::ArpLearn(ip, mac));
-                        work += self.note_send(index, sent);
+                        work += self.note_send(index, None, sent);
                     }
                 }
             }
@@ -520,10 +594,14 @@ impl NetworkStack {
         work
     }
 
-    /// Books one ring send into the sending shard's stats; returns the
-    /// work-item credit (1 for enqueued, 0 for dropped).
-    fn note_send(&self, index: usize, sent: bool) -> usize {
+    /// Books one ring send into the sending shard's stats and rings the
+    /// receiving in-world shard `target`, if any; returns the work-item
+    /// credit (1 for enqueued, 0 for dropped).
+    fn note_send(&self, index: usize, target: Option<usize>, sent: bool) -> usize {
         if sent {
+            if let Some(target) = target {
+                self.bells[target].ring();
+            }
             1
         } else {
             let mut shard = self.shards[index].borrow_mut();
@@ -551,13 +629,7 @@ impl NetworkStack {
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.shards
             .iter()
-            .flat_map(|s| {
-                let mut shard = s.borrow_mut();
-                let tcp = shard.tcp.next_deadline();
-                let bucket = shard.tenancy_next_deadline();
-                [shard.arp.next_deadline(), tcp, bucket]
-            })
-            .flatten()
+            .filter_map(|s| s.borrow_mut().next_deadline())
             .min()
     }
 
@@ -687,6 +759,11 @@ impl NetworkStack {
         &self.shards[conn.0 as usize % self.num_shards]
     }
 
+    /// [`NetworkStack::shard_mut`] for the shard owning `conn`.
+    fn conn_shard_mut(&self, conn: ConnId) -> ShardMut<'_> {
+        self.shard_mut(conn.0 as usize % self.num_shards)
+    }
+
     // ------------------------------------------------------------------
     // ICMP.
     // ------------------------------------------------------------------
@@ -696,7 +773,7 @@ impl NetworkStack {
         // ICMP has no ports; RSS hashes it as the host pair, so the owning
         // shard is the (0, 0)-port flow's shard.
         let owner = self.shard_for(0, SocketAddr::new(dst, 0));
-        let mut shard = self.shards[owner].borrow_mut();
+        let mut shard = self.shard_mut(owner);
         let echo = IcmpEcho {
             is_request: true,
             ident,
@@ -792,7 +869,7 @@ impl NetworkStack {
         // The flow's owning shard transmits, keeping its ARP view and TX
         // ring the only state this datagram touches.
         let owner = self.shard_for(src_port, dst);
-        let mut shard = self.shards[owner].borrow_mut();
+        let mut shard = self.shard_mut(owner);
         if !shard.udp.is_bound(src_port) {
             return Err(NetError::BadHandle);
         }
@@ -951,8 +1028,8 @@ impl NetworkStack {
         };
         ctrl.local_listen.remove(&port);
         self.ports.listen_release(port);
-        for (shard, lid) in self.shards.iter().zip(inner) {
-            let mut shard = shard.borrow_mut();
+        for (index, lid) in inner.into_iter().enumerate() {
+            let mut shard = self.shard_mut(index);
             shard.tcp.close_listener(lid);
             shard.flush_tcp();
         }
@@ -987,7 +1064,7 @@ impl NetworkStack {
             t
         });
         let owner = self.shard_for(port, remote);
-        let mut shard = self.shards[owner].borrow_mut();
+        let mut shard = self.shard_mut(owner);
         if let Some(t) = tw_tenant {
             shard.tcp.tag_port_tenant(port, t.0);
         }
@@ -1024,7 +1101,7 @@ impl NetworkStack {
     /// host-originated data and device-generated replies must never race
     /// for sequence numbers.
     pub fn tcp_send(&self, conn: ConnId, data: DemiBuffer) -> Result<(), NetError> {
-        let mut shard = self.conn_shard(conn).borrow_mut();
+        let mut shard = self.conn_shard_mut(conn);
         shard.offload_release_conn(conn);
         let now = shard.clock.now();
         shard.tcp.send(conn, data, now)?;
@@ -1034,7 +1111,7 @@ impl NetworkStack {
 
     /// Pops received stream data (ordered chunks).
     pub fn tcp_recv(&self, conn: ConnId) -> Result<Option<DemiBuffer>, NetError> {
-        let mut shard = self.conn_shard(conn).borrow_mut();
+        let mut shard = self.conn_shard_mut(conn);
         let r = shard.tcp.recv(conn)?;
         // recv may emit a window update.
         shard.flush_tcp();
@@ -1054,7 +1131,7 @@ impl NetworkStack {
     /// Graceful close. Disarms any device offload on the flow first so
     /// the FIN's sequence number accounts for absorbed bytes.
     pub fn tcp_close(&self, conn: ConnId) -> Result<(), NetError> {
-        let mut shard = self.conn_shard(conn).borrow_mut();
+        let mut shard = self.conn_shard_mut(conn);
         shard.offload_release_conn(conn);
         let now = shard.clock.now();
         shard.tcp.close(conn, now)?;
@@ -1066,7 +1143,7 @@ impl NetworkStack {
     ///
     /// [`tcp_close`]: NetworkStack::tcp_close
     pub fn tcp_abort(&self, conn: ConnId) -> Result<(), NetError> {
-        let mut shard = self.conn_shard(conn).borrow_mut();
+        let mut shard = self.conn_shard_mut(conn);
         shard.offload_release_conn(conn);
         shard.tcp.abort(conn)?;
         shard.flush_tcp();
@@ -1118,8 +1195,8 @@ impl NetworkStack {
                 engine: Rc::clone(&engine),
             })
             .map_err(|_| NetError::Unsupported("device has no free program slots"))?;
-        for s in &self.shards {
-            let mut shard = s.borrow_mut();
+        for index in 0..self.num_shards {
+            let mut shard = self.shard_mut(index);
             shard.offload = Some(ShardOffload {
                 engine: Rc::clone(&engine),
                 port,
@@ -1143,8 +1220,8 @@ impl NetworkStack {
             return;
         };
         ctl.engine.borrow_mut().disarm_all();
-        for s in &self.shards {
-            let mut shard = s.borrow_mut();
+        for index in 0..self.num_shards {
+            let mut shard = self.shard_mut(index);
             let now = shard.clock.now();
             shard.drain_offload_events(now);
             shard.flush_tcp();
@@ -1296,6 +1373,11 @@ impl ShardTenancy {
 struct Shard {
     index: usize,
     num_shards: usize,
+    /// This shard's doorbell (the stack's `bells[index]`).
+    bell: Doorbell,
+    /// Where this shard publishes its earliest deadline, once a runtime
+    /// asked for it ([`NetworkStack::publish_deadlines`]).
+    deadline: Option<DeadlineHandle>,
     /// RX queues this shard drains.
     queues: Vec<u16>,
     /// Round-robin cursor over `queues` (multi-queue single-shard mode).
@@ -1348,14 +1430,69 @@ struct Shard {
     tenancy: Option<ShardTenancy>,
 }
 
+/// A mutable borrow of one shard for a facade call. Work the call queues
+/// outside a poll pass must reach the runtime: releasing the borrow
+/// publishes the shard's deadline (a connect arms an RTO, a send behind an
+/// ARP miss arms a retry) and, on an offloaded port, rings the shard's
+/// bell, since the call may have made a flow armable (a `recv` that
+/// drained the last queued bytes). Segments a call queues need no ring of
+/// their own: every facade call that can queue one flushes the TCP outbox
+/// onto the TX ring, whose push rings.
+struct ShardMut<'a>(RefMut<'a, Shard>);
+
+impl Deref for ShardMut<'_> {
+    type Target = Shard;
+
+    fn deref(&self) -> &Shard {
+        &self.0
+    }
+}
+
+impl DerefMut for ShardMut<'_> {
+    fn deref_mut(&mut self) -> &mut Shard {
+        &mut self.0
+    }
+}
+
+impl Drop for ShardMut<'_> {
+    fn drop(&mut self) {
+        let shard = &mut *self.0;
+        shard.publish_deadline();
+        if shard.offload.is_some() {
+            shard.bell.ring();
+        }
+    }
+}
+
 impl Shard {
+    /// Earliest protocol deadline on this shard: ARP retry, TCP timers
+    /// (RTO, persist, TIME_WAIT, delayed ACK, queue compaction), and
+    /// token-bucket wakeups of rate-limited tenant lanes.
+    fn next_deadline(&mut self) -> Option<SimTime> {
+        let tcp = self.tcp.next_deadline();
+        let bucket = self.tenancy_next_deadline();
+        [self.arp.next_deadline(), tcp, bucket]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Writes [`Shard::next_deadline`] to the runtime's deadline index.
+    fn publish_deadline(&mut self) {
+        if let Some(handle) = self.deadline.take() {
+            handle.set(self.next_deadline());
+            self.deadline = Some(handle);
+        }
+    }
+
     /// One full pass: RX (handoffs, then own queues), timers, TCP flush,
     /// TX flush. Returns the work-item count the runtime reads as progress
-    /// (quiescence and clock advance); handed-off frames count here (their
-    /// arrival moved no stack counter, but it is progress all the same).
-    /// Waiters are woken by the readiness signals of the sockets the pass
-    /// touched, not by this count.
-    fn poll_pass(&mut self) -> usize {
+    /// (quiescence and clock advance) — handed-off frames count here (their
+    /// arrival moved no stack counter, but it is progress all the same) —
+    /// and whether the pass left backlog for the next one. Waiters are
+    /// woken by the readiness signals of the sockets the pass touched, not
+    /// by this count.
+    fn poll_pass(&mut self) -> (usize, bool) {
         let before = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
         let handoffs_before = self.shard_stats.handoffs_in;
         let offload_before = self.shard_stats.offload_events_applied;
@@ -1378,7 +1515,13 @@ impl Shard {
         let after = self.stats.rx_frames + self.stats.tx_frames + self.stats.unreachable_drops;
         let handoffs = (self.shard_stats.handoffs_in - handoffs_before) as usize;
         let offload_events = (self.shard_stats.offload_events_applied - offload_before) as usize;
-        (after - before) as usize + handoffs + timer_events + backlog + offload_events + tx_backlog
+        let work = (after - before) as usize
+            + handoffs
+            + timer_events
+            + backlog
+            + offload_events
+            + tx_backlog;
+        (work, backlog + tx_backlog > 0)
     }
 
     /// Drains up to `rx_budget` frames — handoffs from other shards first,
@@ -1386,6 +1529,12 @@ impl Shard {
     /// still pending afterwards — remaining work the caller reports so the
     /// runtime keeps seeing progress under a flood without this pass
     /// starving timers or the other pollers.
+    ///
+    /// Each `rx_burst` pumps the port's whole fabric mailbox into the
+    /// descriptor rings, and nothing lands in the mailbox during a pass,
+    /// so a burst shorter than asked leaves its queue empty: the pass
+    /// neither asks that queue again nor pumps again to size the backlog,
+    /// which it reads from the rings.
     fn rx_pass(&mut self) -> usize {
         let budget = self.config.rx_budget;
         // Each pass re-opens every tenant's RX slice; what a tenant did
@@ -1408,16 +1557,27 @@ impl Shard {
         }
         let nq = self.queues.len();
         let mut idle_queues = 0;
+        // Queues a short burst left empty (bit per position in `queues`);
+        // past 64 queues every queue is asked until it answers empty.
+        let mut drained = 0u64;
+        let mut pumped = false;
         while processed < budget && idle_queues < nq {
-            let queue = self.queues[self.rr_next];
+            let pos = self.rr_next;
             self.rr_next = (self.rr_next + 1) % nq;
-            let burst = self
-                .port
-                .rx_burst(queue, (budget - processed).min(RX_BURST));
+            if pos < 64 && drained & (1 << pos) != 0 {
+                idle_queues += 1;
+                continue;
+            }
+            let max = (budget - processed).min(RX_BURST);
+            let burst = self.port.rx_burst(self.queues[pos], max);
+            pumped = true;
             // Pulling from the device pumps its RX pipeline, which may
             // have absorbed or served frames on the NIC: apply the sync
             // events *before* dispatching the frames it did deliver.
             self.drain_offload_events(now);
+            if burst.len() < max && pos < 64 {
+                drained |= 1 << pos;
+            }
             if burst.is_empty() {
                 idle_queues += 1;
                 continue;
@@ -1430,12 +1590,18 @@ impl Shard {
                 self.handle_frame(mbuf, now);
             }
         }
-        let backlog: usize = self.handoff.len()
-            + self
-                .queues
-                .iter()
-                .map(|&q| self.port.rx_pending(q))
-                .sum::<usize>();
+        let pending: usize = self
+            .queues
+            .iter()
+            .map(|&q| {
+                if pumped {
+                    self.port.rx_ring_len(q)
+                } else {
+                    self.port.rx_pending(q)
+                }
+            })
+            .sum();
+        let backlog = self.handoff.len() + pending;
         if processed >= budget && backlog > 0 {
             counters::count(RX_BUDGET_EXHAUSTED);
         }
@@ -1938,7 +2104,9 @@ impl Shard {
                     return;
                 }
                 lane.staging.push_back(Mbuf::from_data(frame));
-                if !self.config.tx_coalesce {
+                if self.config.tx_coalesce {
+                    self.bell.ring();
+                } else {
                     self.flush_tx();
                 }
                 return;
@@ -1949,7 +2117,9 @@ impl Shard {
         if demi_telemetry::enabled() {
             self.tx_stamps.push(demi_telemetry::now_ns());
         }
-        if !self.config.tx_coalesce {
+        if self.config.tx_coalesce {
+            self.bell.ring();
+        } else {
             self.flush_tx();
         }
     }
@@ -2083,10 +2253,10 @@ impl Shard {
     }
 
     /// Hands the whole TX ring to the device in one burst, preserving
-    /// enqueue order. Runs at the end of every poll pass — and every
-    /// blocking wait pumps the pollers before advancing virtual time, so
-    /// coalescing never holds a frame across a wait: latency is not traded
-    /// for throughput. Tenant staging lanes drain through the deficit
+    /// enqueue order. Runs at the end of every poll pass, and every push
+    /// onto the ring rings the shard's bell, which the runtime answers
+    /// before it advances virtual time — so coalescing never holds a frame
+    /// across a clock jump: latency is not traded for throughput. Tenant staging lanes drain through the deficit
     /// round-robin first; the returned count is their budget-capped
     /// leftover (poll backlog), zero without tenancy.
     fn flush_tx(&mut self) -> usize {

@@ -407,3 +407,147 @@ fn uninstall_mid_message_flushes_absorbed_bytes_to_host() {
     b.tcp_send(sconn, DemiBuffer::from_slice(&msg)).unwrap();
     assert_eq!(recv_exactly(&fabric, &a, &b, conn, msg.len()), msg);
 }
+
+// ---------------------------------------------------------------------
+// Doorbells and published deadlines: each site that queues work for a
+// shard outside the runtime's view rings that shard's bell.
+// ---------------------------------------------------------------------
+
+/// Delivers every frame in flight to its mailbox.
+fn deliver_all(fabric: &Fabric) {
+    let at = fabric
+        .clock()
+        .now()
+        .saturating_add(SimTime::from_micros(50));
+    fabric.advance_to(at);
+}
+
+#[test]
+fn a_pass_rings_its_bell_again_only_for_backlog() {
+    let fabric = Fabric::new(1234);
+    let a = host(&fabric, 1);
+    let port = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(2)));
+    let b = NetworkStack::new(
+        port,
+        fabric.clock(),
+        StackConfig {
+            rx_budget: 1,
+            ..StackConfig::new(ip(2))
+        },
+    );
+    a.udp_bind(9).unwrap();
+    b.udp_bind(7).unwrap();
+    a.udp_sendto(9, SocketAddr::new(ip(2), 7), b"warm").unwrap();
+    settle(&fabric, &[&a, &b], || b.udp_pending(7) == 1);
+    b.udp_recv_from(7).unwrap();
+
+    let bell = b.doorbell(0);
+    bell.take();
+    for payload in [b"one", b"two"] {
+        a.udp_sendto(9, SocketAddr::new(ip(2), 7), payload).unwrap();
+    }
+    a.poll();
+    deliver_all(&fabric);
+    assert!(bell.take(), "delivery rings the receiving port's shard");
+    b.poll_shard(0);
+    assert!(bell.take(), "a pass that hit its RX budget rings itself");
+    b.poll_shard(0);
+    assert!(
+        !bell.is_rung(),
+        "a pass that drained everything stays quiet"
+    );
+    assert_eq!(b.udp_pending(7), 2);
+}
+
+#[test]
+fn cross_shard_sends_ring_the_receiving_shard() {
+    let fabric = Fabric::new(1234);
+    let port = DpdkPort::new(
+        &fabric,
+        PortConfig {
+            num_rx_queues: 2,
+            ..PortConfig::basic(MacAddress::from_last_octet(1))
+        },
+    );
+    let a = NetworkStack::new(port, fabric.clock(), StackConfig::new(ip(1)));
+    // An ARP binding shard 1 learned is taught to shard 0 over the ring,
+    // after shard 0 already had its turn this pump.
+    a.shards[1]
+        .borrow_mut()
+        .learned
+        .push((ip(2), MacAddress::from_last_octet(2)));
+    a.doorbell(0).take();
+    a.poll_shard(1);
+    assert!(a.doorbell(0).is_rung());
+}
+
+#[test]
+fn a_cross_thread_inbox_keeps_its_shard_rung() {
+    let (_fabric, a, _b) = world();
+    let mut links = crate::rings::mesh(2, 16);
+    let mine = links.remove(0);
+    a.doorbell(0).take();
+    a.attach_external(mine);
+    assert!(a.doorbell(0).take(), "attaching an inbox rings its shard");
+    a.poll_shard(0);
+    assert!(
+        a.doorbell(0).is_rung(),
+        "no bell announces a cross-thread frame, so the shard stays rung"
+    );
+}
+
+#[test]
+fn a_staged_tenant_frame_rings_its_shard() {
+    use demi_memory::{BufferPool, DEFAULT_HEADROOM};
+    use demi_tenant::{TenantRegistry, TenantSpec};
+
+    let fabric = Fabric::new(1234);
+    let registry = Arc::new(TenantRegistry::new());
+    let t = registry.register(TenantSpec::named("t", 1));
+    registry.grant_port(t, 7000);
+    let port = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(1)));
+    let a = NetworkStack::new(
+        port,
+        fabric.clock(),
+        StackConfig {
+            tenancy: Some(TenancyCfg::new(registry)),
+            ..StackConfig::new(ip(1))
+        },
+    );
+    let b = host(&fabric, 2);
+    a.ping(ip(2), 1, 1);
+    settle(&fabric, &[&a, &b], || a.recv_pong().is_some());
+    demi_tenant::scope(t, || a.udp_bind(7000).unwrap());
+    let payload = BufferPool::for_tenant(t, None).alloc_with_headroom(DEFAULT_HEADROOM, 64);
+    a.doorbell(0).take();
+    a.udp_sendto(7000, SocketAddr::new(ip(2), 7000), payload)
+        .unwrap();
+    assert_eq!(a.tenant_stats()[0].staged_frames, 1);
+    assert!(a.doorbell(0).is_rung());
+}
+
+#[test]
+fn facade_calls_publish_the_shards_deadline() {
+    let (_fabric, a, _b) = world();
+    let index = sim_fabric::DeadlineIndex::new();
+    a.publish_deadlines(0, index.handle(Doorbell::new()));
+    assert_eq!(index.earliest_after(SimTime::ZERO), None);
+    // The SYN waits on ARP: the retry and the RTO are armed with no
+    // poll pass to publish them.
+    a.tcp_connect(SocketAddr::new(ip(2), 80)).unwrap();
+    let armed = a.next_deadline();
+    assert!(armed.is_some());
+    assert_eq!(index.earliest_after(SimTime::ZERO), armed);
+}
+
+#[test]
+fn a_facade_call_on_an_offloaded_port_rings_its_shard() {
+    let (fabric, a, b, _port) = offload_world();
+    b.install_echo_offload(7).unwrap();
+    let (_conn, sconn) = tcp_pair(&fabric, &a, &b, 7);
+    b.doorbell(0).take();
+    // Draining the receive queue can make the flow quiescent, hence
+    // armable at the end of the shard's next pass.
+    b.tcp_recv(sconn).unwrap();
+    assert!(b.doorbell(0).is_rung());
+}

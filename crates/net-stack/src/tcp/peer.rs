@@ -442,7 +442,9 @@ impl TcpPeer {
         let port = cb.local().port;
         let remote = cb.remote();
         for kind in 0..TIMER_KINDS {
-            e.timers.deadline[kind] = None;
+            if let Some(deadline) = e.timers.deadline[kind].take() {
+                self.wheel.note_cancelled(deadline);
+            }
             e.timers.gen[kind] += 1;
         }
         e.gen = (e.gen + 1) % self.gen_limit.max(1);
@@ -499,6 +501,9 @@ impl TcpPeer {
         let deadlines = cb.timer_deadlines();
         for (kind, &deadline) in deadlines.iter().enumerate() {
             if e.timers.deadline[kind] != deadline {
+                if let Some(old) = e.timers.deadline[kind] {
+                    wheel.note_cancelled(old);
+                }
                 e.timers.gen[kind] += 1;
                 e.timers.deadline[kind] = deadline;
                 if let Some(t) = deadline {
@@ -922,6 +927,7 @@ impl TcpPeer {
             }
             let rec = self.tw.remove(&key).expect("checked above");
             self.tw_by_id.remove(&rec.owner_id);
+            self.wheel.forget_earliest();
             if rec.ephemeral {
                 self.bound_ports.remove(&rec.local_port);
                 self.released_ports.push(rec.local_port);
@@ -935,6 +941,7 @@ impl TcpPeer {
     fn drop_tw_by_id(&mut self, owner: u32) {
         if let Some(key) = self.tw_by_id.remove(&owner) {
             if let Some(rec) = self.tw.remove(&key) {
+                self.wheel.forget_earliest();
                 if rec.ephemeral {
                     self.bound_ports.remove(&rec.local_port);
                     self.released_ports.push(rec.local_port);
@@ -1023,6 +1030,7 @@ impl TcpPeer {
         if hdr.flags.rst {
             let rec = self.tw.remove(&key).expect("checked above");
             self.tw_by_id.remove(&rec.owner_id);
+            self.wheel.forget_earliest();
             if rec.ephemeral {
                 self.bound_ports.remove(&rec.local_port);
                 self.released_ports.push(rec.local_port);
@@ -1035,6 +1043,7 @@ impl TcpPeer {
             let expiry = now.saturating_add(self.config.msl.saturating_mul(2));
             let rec = self.tw.get_mut(&key).expect("checked above");
             rec.wheel_gen = rec.wheel_gen.wrapping_add(1);
+            self.wheel.forget_earliest();
             let reply = (
                 rec.remote.ip,
                 TcpSegmentOut {
@@ -1468,6 +1477,18 @@ impl TcpPeer {
     }
 
     fn wheel_next_deadline(&mut self) -> Option<SimTime> {
+        let (wheel, live) = self.wheel_and_liveness();
+        wheel.earliest_live(live)
+    }
+
+    /// The wheel, plus the test deciding whether one of its entries is
+    /// still armed (stale entries are counted as they are discarded).
+    fn wheel_and_liveness(
+        &mut self,
+    ) -> (
+        &mut TimerWheel<TimerKey>,
+        impl FnMut(&TimerKey) -> bool + '_,
+    ) {
         let TcpPeer {
             wheel,
             entries,
@@ -1478,7 +1499,7 @@ impl TcpPeer {
             ..
         } = self;
         let (first, stride) = (*first_id, *id_stride);
-        wheel.peek_earliest_live(|tkey| {
+        let live = move |tkey: &TimerKey| {
             let live = if tkey.kind == TW_KIND {
                 tw_by_id
                     .get(&tkey.conn.0)
@@ -1495,7 +1516,8 @@ impl TcpPeer {
                 counters::count(TIMERS_STALE);
             }
             live
-        })
+        };
+        (wheel, live)
     }
 
     /// Appends every segment queued for transmission, tagged with its
@@ -1682,6 +1704,85 @@ mod tests {
         assert_eq!(client.state(c).unwrap(), State::Established);
         assert_eq!(server.state(s).unwrap(), State::Established);
         (client, server, c, s)
+    }
+
+    /// The wheel's earliest live deadline, incrementally kept, against the
+    /// linear walk over every slot. Called after every step of the
+    /// differential test below.
+    fn assert_earliest_matches_linear(peer: &mut TcpPeer) {
+        let kept = peer.wheel_next_deadline();
+        let (wheel, live) = peer.wheel_and_liveness();
+        assert_eq!(kept, wheel.peek_earliest_live(live));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Random schedule, cancel, re-arm and tick sequences on real
+        /// connections: sends arm RTOs, delivered ACKs cancel them, dropped
+        /// segments force retransmissions that re-arm them, aborts free
+        /// slots with timers armed, delayed ACKs and TIME_WAIT expiries
+        /// ride the same wheel, and ticks fire them.
+        #[test]
+        fn incremental_earliest_deadline_matches_the_linear_scan(
+            ops in proptest::prelude::prop::collection::vec(
+                (0u8..9, 0usize..3, 1u64..20_000),
+                1..80,
+            ),
+        ) {
+            let mut now = SimTime::ZERO;
+            let mut client = TcpPeer::new(ip(1), TcpConfig::default());
+            let mut server = TcpPeer::new(ip(2), TcpConfig::default());
+            let lid = server.listen(80, 16).unwrap();
+            let conns: Vec<(ConnId, ConnId)> = (0..3)
+                .map(|_| {
+                    let c = client.connect(SocketAddr::new(ip(2), 80), now).unwrap();
+                    pump(&mut client, ip(1), &mut server, ip(2), now);
+                    (c, server.accept(lid).unwrap().expect("accepted"))
+                })
+                .collect();
+            for (op, which, n) in ops {
+                let (c, s) = conns[which];
+                match op {
+                    0 => {
+                        let _ = client.send(c, DemiBuffer::from_slice(&vec![7; n as usize % 3000]), now);
+                    }
+                    1 => {
+                        let _ = server.send(s, DemiBuffer::from_slice(&vec![9; n as usize % 3000]), now);
+                    }
+                    2 => {
+                        for (_, seg) in client.take_segments() {
+                            server.on_segment(ip(1), &seg.header, seg.payload, now);
+                        }
+                    }
+                    3 => {
+                        for (_, seg) in server.take_segments() {
+                            client.on_segment(ip(2), &seg.header, seg.payload, now);
+                        }
+                    }
+                    4 => {
+                        // A lossy link: whatever is queued never arrives.
+                        client.take_segments();
+                        server.take_segments();
+                    }
+                    5 => {
+                        now = now.saturating_add(SimTime::from_micros(n));
+                        client.on_tick(now);
+                        server.on_tick(now);
+                    }
+                    6 => {
+                        let _ = client.close(c, now);
+                        let _ = server.close(s, now);
+                    }
+                    7 => {
+                        // Frees the slot with whatever timers it had armed.
+                        let _ = client.abort(c);
+                    }
+                    _ => while let Ok(Some(_)) = server.recv(s) {},
+                }
+                assert_earliest_matches_linear(&mut client);
+                assert_earliest_matches_linear(&mut server);
+            }
+        }
     }
 
     #[test]

@@ -21,10 +21,21 @@
 //! differential test assert firing-time identity against the linear scan.
 //!
 //! Cancellation is lazy: the owner bumps a generation and simply abandons
-//! the entry. Stale entries are discarded when swept — or when
-//! [`TimerWheel::peek_earliest_live`] walks past them, which keeps the
+//! the entry. Stale entries are discarded when they fire — or when
+//! [`TimerWheel::earliest_live`] walks past them, which keeps the
 //! earliest-deadline answer exact (a stale earliest entry must not hide
 //! `None`).
+//!
+//! The earliest live deadline is kept incrementally: a cached answer that
+//! a schedule lowers, and that only the owner's report of a cancelled
+//! earliest entry ([`TimerWheel::note_cancelled`]) or a firing advance
+//! invalidates. Recomputing it does not walk every slot: per-level
+//! occupancy bitmaps name the non-empty slots, and within one level the
+//! slots after the cursor hold strictly later deadlines in cursor order,
+//! so each level stops at its first slot holding a live entry.
+//! [`TimerWheel::peek_earliest_live`], the linear walk over every slot,
+//! serves owners that report no cancellations (demi-kv's TTL index) and
+//! is the reference the differential tests compare against.
 
 use sim_fabric::SimTime;
 
@@ -56,6 +67,12 @@ pub struct TimerWheel<T> {
     /// advancing; kept on the wheel so a steady-state advance allocates
     /// nothing once warm.
     cascade_scratch: Vec<Entry<T>>,
+    /// Bit `s` of `occupied[level]` is set while `levels[level][s]` may
+    /// hold entries (a set bit over an empty slot is allowed; a clear bit
+    /// over a non-empty one is not).
+    occupied: [u64; LEVELS],
+    /// The earliest live deadline, when known (`Some(None)`: none live).
+    earliest: Option<Option<u64>>,
     now: u64,
     seq: u64,
     len: usize,
@@ -69,6 +86,8 @@ impl<T: Copy> TimerWheel<T> {
             immediate: Vec::new(),
             overflow: Vec::new(),
             cascade_scratch: Vec::new(),
+            occupied: [0; LEVELS],
+            earliest: Some(None),
             now: start.as_nanos(),
             seq: 0,
             len: 0,
@@ -94,7 +113,26 @@ impl<T: Copy> TimerWheel<T> {
         };
         self.seq += 1;
         self.len += 1;
+        if let Some(earliest) = &mut self.earliest {
+            if earliest.is_none_or(|e| entry.deadline < e) {
+                *earliest = Some(entry.deadline);
+            }
+        }
         self.place(entry);
+    }
+
+    /// The owner abandoned an entry due at `deadline` (bumped its
+    /// generation, freed its connection). Only the cached earliest answer
+    /// can go stale, and only when this was it.
+    pub fn note_cancelled(&mut self, deadline: SimTime) {
+        if self.earliest == Some(Some(deadline.as_nanos())) {
+            self.earliest = None;
+        }
+    }
+
+    /// The owner abandoned an entry whose deadline it does not know.
+    pub fn forget_earliest(&mut self) {
+        self.earliest = None;
     }
 
     fn place(&mut self, entry: Entry<T>) {
@@ -115,6 +153,7 @@ impl<T: Copy> TimerWheel<T> {
         }
         let slot = ((entry.deadline >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.levels[level][slot].push(entry);
+        self.occupied[level] |= 1 << slot;
     }
 
     /// Advances the cursor to `now` and returns everything that fired, as
@@ -150,7 +189,10 @@ impl<T: Copy> TimerWheel<T> {
                 let steps = (new_idx - old_idx).min(SLOTS as u64);
                 for step in 1..=steps {
                     let slot = ((old_idx + step) & (SLOTS as u64 - 1)) as usize;
-                    cascades.append(&mut self.levels[level][slot]);
+                    if self.occupied[level] & (1 << slot) != 0 {
+                        self.occupied[level] &= !(1 << slot);
+                        cascades.append(&mut self.levels[level][slot]);
+                    }
                 }
             }
             // The overflow list holds entries that were ≥ 64^LEVELS ticks
@@ -167,6 +209,10 @@ impl<T: Copy> TimerWheel<T> {
             }
             self.cascade_scratch = cascades;
         }
+        if !self.immediate.is_empty() {
+            // Whatever fires was at or before the cached earliest.
+            self.earliest = None;
+        }
         self.len -= self.immediate.len();
         self.immediate.sort_by_key(|e| (e.deadline, e.seq));
         out.extend(
@@ -176,9 +222,65 @@ impl<T: Copy> TimerWheel<T> {
         );
     }
 
-    /// The earliest deadline among entries for which `live` returns true.
-    /// Dead entries encountered on the way are discarded, so a stale
-    /// earliest entry can never mask the true answer (or a `None`).
+    /// The earliest deadline among entries for which `live` returns true —
+    /// the cached answer, or one recomputed through the occupancy bitmaps.
+    /// Dead entries met on the way are discarded, so a stale earliest entry
+    /// can never mask the true answer (or a `None`). `live` must agree with
+    /// the owner's [`TimerWheel::note_cancelled`] reports: an entry turns
+    /// dead only through one.
+    pub fn earliest_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<SimTime> {
+        if let Some(earliest) = self.earliest {
+            return earliest.map(SimTime::from_nanos);
+        }
+        let mut best: Option<u64> = None;
+        let mut removed = 0usize;
+        // Keeps the live entries of `bucket`, folding them into `best`;
+        // returns whether any was live.
+        let mut scan = |bucket: &mut Vec<Entry<T>>| {
+            let mut found = false;
+            bucket.retain(|e| {
+                if live(&e.key) {
+                    found = true;
+                    if best.is_none_or(|b| e.deadline < b) {
+                        best = Some(e.deadline);
+                    }
+                    true
+                } else {
+                    removed += 1;
+                    false
+                }
+            });
+            found
+        };
+        scan(&mut self.immediate);
+        for level in 0..LEVELS {
+            // Slots after the cursor's, in cursor order, hold strictly
+            // increasing deadline ranges; the cursor's own slot comes last.
+            let first = ((self.now >> (SLOT_BITS * level as u32)) + 1) & (SLOTS as u64 - 1);
+            let mut bits = self.occupied[level].rotate_right(first as u32);
+            while bits != 0 {
+                let slot =
+                    ((first + u64::from(bits.trailing_zeros())) & (SLOTS as u64 - 1)) as usize;
+                bits &= bits - 1;
+                let found = scan(&mut self.levels[level][slot]);
+                if self.levels[level][slot].is_empty() {
+                    self.occupied[level] &= !(1 << slot);
+                }
+                if found {
+                    break;
+                }
+            }
+        }
+        scan(&mut self.overflow);
+        self.len -= removed;
+        self.earliest = Some(best);
+        best.map(SimTime::from_nanos)
+    }
+
+    /// The earliest deadline among entries for which `live` returns true,
+    /// by a linear walk over every slot: for owners that report no
+    /// cancellations, and the reference [`TimerWheel::earliest_live`] is
+    /// tested against. Dead entries encountered on the way are discarded.
     pub fn peek_earliest_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<SimTime> {
         let mut best: Option<u64> = None;
         let mut removed = 0usize;

@@ -13,7 +13,6 @@ use demi_sched::Notify;
 use net_stack::tcp::{ConnId, ListenerId, State};
 use net_stack::types::{NetError, SocketAddr};
 use net_stack::NetworkStack;
-use sim_fabric::SimTime;
 
 use crate::kernel::SimKernel;
 
@@ -97,11 +96,6 @@ impl KernelSockets {
     /// frames the stack moved.
     pub fn poll(&mut self) -> usize {
         self.stack.poll()
-    }
-
-    /// Earliest kernel-stack timer deadline.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.stack.next_deadline()
     }
 
     fn alloc_fd(&mut self, kind: FdKind) -> Fd {

@@ -34,7 +34,7 @@ fn settle(
         if fabric.advance_to_next_event() {
             continue;
         }
-        let deadline = [a.next_deadline(), b.next_deadline()]
+        let deadline = [a.stack().next_deadline(), b.stack().next_deadline()]
             .into_iter()
             .flatten()
             .min();

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
-use sim_fabric::{Endpoint, Fabric, MacAddress, SimTime};
+use sim_fabric::{DeadlineHandle, Doorbell, Endpoint, Fabric, MacAddress, SimTime};
 
 use crate::verbs::{
     Completion, CqId, MrAccess, MrId, PdId, QpError, QpId, QpState, WcOpcode, WcStatus,
@@ -147,6 +147,9 @@ struct Inner {
     stats: RdmaDeviceStats,
     /// Connection-manager events so far (see [`RdmaDevice::cm_events`]).
     cm_events: u64,
+    /// Where the earliest transport timer is published, once a runtime
+    /// asked for it ([`RdmaDevice::publish_deadlines`]).
+    deadline: Option<DeadlineHandle>,
 }
 
 /// One simulated RDMA NIC attached to the fabric.
@@ -180,6 +183,7 @@ impl RdmaDevice {
                 next_id: 1,
                 stats: RdmaDeviceStats::default(),
                 cm_events: 0,
+                deadline: None,
             })),
         }
     }
@@ -405,6 +409,7 @@ impl RdmaDevice {
                 port,
             },
         );
+        inner.publish_deadline();
         Ok(())
     }
 
@@ -554,22 +559,45 @@ impl RdmaDevice {
             }
         }
         inner.tick(now);
+        inner.publish_deadline();
         frames
     }
 
     /// Earliest device timer deadline (for runtime clock advancement).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let inner = self.inner.borrow();
-        inner
-            .qps
+        self.inner.borrow().next_deadline()
+    }
+
+    /// From now on, publishes [`RdmaDevice::next_deadline`] through
+    /// `deadline` whenever a connect, a posted work request or a
+    /// [`RdmaDevice::poll`] changes it.
+    pub fn publish_deadlines(&self, deadline: DeadlineHandle) {
+        let mut inner = self.inner.borrow_mut();
+        inner.deadline = Some(deadline);
+        inner.publish_deadline();
+    }
+
+    /// Rings `bell` whenever the fabric delivers a frame to this device.
+    pub fn ring_on_rx(&self, bell: Doorbell) {
+        self.inner.borrow().endpoint.ring_on_delivery(bell);
+    }
+}
+
+impl Inner {
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.qps
             .values()
             .flat_map(|q| [q.rto_deadline, q.connect_deadline])
             .flatten()
             .min()
     }
-}
 
-impl Inner {
+    fn publish_deadline(&self) {
+        if let Some(handle) = &self.deadline {
+            handle.set(self.next_deadline());
+        }
+    }
+
     fn alloc_id(&mut self) -> u32 {
         let id = self.next_id;
         self.next_id += 1;
@@ -639,6 +667,7 @@ impl Inner {
         });
         if q.rto_deadline.is_none() {
             q.rto_deadline = Some(now.saturating_add(rto));
+            self.publish_deadline();
         }
         self.send_msg(peer_mac, &body);
     }

@@ -5,8 +5,15 @@
 //! nanoseconds carried by [`SimTime`]. A [`SimClock`] is a shared, cloneable
 //! handle to the current virtual instant; it only moves when explicitly
 //! advanced, which the Demikernel scheduler does when every task is blocked.
+//!
+//! The two event hooks a device hands its poller live here too, because
+//! every device crate already depends on this one: a [`Doorbell`] an
+//! event source rings when it queues work for the poller, and a
+//! [`DeadlineHandle`] slot in a runtime-owned [`DeadlineIndex`] through
+//! which the device publishes the earliest virtual instant it next has
+//! work at.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::rc::Rc;
@@ -174,9 +181,187 @@ impl fmt::Debug for SimClock {
     }
 }
 
+/// A doorbell: the owner of a queue rings it when it queues work for a
+/// poller, and the poller runs only when it has been rung (NAPI-style
+/// interrupt-then-poll). Cloning yields another handle to the same bell.
+#[derive(Clone, Default)]
+pub struct Doorbell {
+    rung: Rc<Cell<bool>>,
+}
+
+impl Doorbell {
+    /// A bell nobody has rung yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Marks the owner's poller as having work.
+    pub fn ring(&self) {
+        self.rung.set(true);
+    }
+
+    /// Whether the bell is rung, clearing it: the caller answers it.
+    pub fn take(&self) -> bool {
+        self.rung.replace(false)
+    }
+
+    /// Whether the bell is rung, leaving it rung.
+    pub fn is_rung(&self) -> bool {
+        self.rung.get()
+    }
+}
+
+impl fmt::Debug for Doorbell {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Doorbell(rung={})", self.is_rung())
+    }
+}
+
+#[derive(Default)]
+struct IndexSlots {
+    /// Each slot's published deadline and the bell it rings when due.
+    slots: Vec<(Option<SimTime>, Doorbell)>,
+    /// The minimum over `slots`, kept as slots are written.
+    earliest: Option<SimTime>,
+}
+
+/// `a < b` with `None` as "never".
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a < b,
+        (Some(_), None) => true,
+        (None, _) => false,
+    }
+}
+
+/// The runtime's pushed deadline index: each deadline source owns one
+/// slot, which it writes through its [`DeadlineHandle`] whenever its
+/// earliest deadline changes. Reading the next deadline is one cached
+/// minimum instead of asking every source. Cloning yields another handle
+/// to the same index.
+#[derive(Clone, Default)]
+pub struct DeadlineIndex {
+    inner: Rc<RefCell<IndexSlots>>,
+}
+
+impl DeadlineIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A new slot, empty, whose deadline rings `owner` once reached.
+    pub fn handle(&self, owner: Doorbell) -> DeadlineHandle {
+        let mut inner = self.inner.borrow_mut();
+        inner.slots.push((None, owner));
+        DeadlineHandle {
+            index: self.clone(),
+            slot: inner.slots.len() - 1,
+        }
+    }
+
+    /// The earliest published deadline strictly after `now`.
+    pub fn earliest_after(&self, now: SimTime) -> Option<SimTime> {
+        let inner = self.inner.borrow();
+        match inner.earliest {
+            Some(t) if t <= now => inner
+                .slots
+                .iter()
+                .filter_map(|&(t, _)| t.filter(|&t| t > now))
+                .min(),
+            t => t,
+        }
+    }
+
+    /// Rings the owner of every deadline at or before `now`.
+    pub fn ring_due(&self, now: SimTime) {
+        let inner = self.inner.borrow();
+        if inner.earliest.is_some_and(|t| t <= now) {
+            for (t, owner) in &inner.slots {
+                if t.is_some_and(|t| t <= now) {
+                    owner.ring();
+                }
+            }
+        }
+    }
+
+    fn set(&self, slot: usize, at: Option<SimTime>) {
+        let mut inner = self.inner.borrow_mut();
+        let old = std::mem::replace(&mut inner.slots[slot].0, at);
+        if old == at {
+            return;
+        }
+        if earlier(at, inner.earliest) {
+            inner.earliest = at;
+        } else if old == inner.earliest {
+            inner.earliest = inner.slots.iter().filter_map(|&(t, _)| t).min();
+        }
+    }
+}
+
+/// One deadline source's slot in a [`DeadlineIndex`]. The source writes
+/// exactly what its pull-style `next_deadline()` would answer, every time
+/// that answer changes. Dropping the handle empties the slot.
+pub struct DeadlineHandle {
+    index: DeadlineIndex,
+    slot: usize,
+}
+
+impl DeadlineHandle {
+    /// Publishes the source's earliest deadline (`None`: nothing pending).
+    pub fn set(&self, at: Option<SimTime>) {
+        self.index.set(self.slot, at);
+    }
+}
+
+impl Drop for DeadlineHandle {
+    fn drop(&mut self) {
+        self.set(None);
+    }
+}
+
+impl fmt::Debug for DeadlineHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DeadlineHandle(slot {})", self.slot)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn deadline_index_keeps_the_minimum_and_rings_due_owners() {
+        let index = DeadlineIndex::new();
+        let (a, b) = (Doorbell::new(), Doorbell::new());
+        let ha = index.handle(a.clone());
+        let hb = index.handle(b.clone());
+        ha.set(Some(SimTime::from_micros(5)));
+        hb.set(Some(SimTime::from_micros(3)));
+        assert_eq!(
+            index.earliest_after(SimTime::ZERO),
+            Some(SimTime::from_micros(3))
+        );
+        hb.set(None);
+        assert_eq!(
+            index.earliest_after(SimTime::ZERO),
+            Some(SimTime::from_micros(5))
+        );
+        hb.set(Some(SimTime::from_micros(9)));
+        index.ring_due(SimTime::from_micros(4));
+        assert!(!a.is_rung() && !b.is_rung());
+        assert_eq!(
+            index.earliest_after(SimTime::from_micros(5)),
+            Some(SimTime::from_micros(9))
+        );
+        index.ring_due(SimTime::from_micros(5));
+        assert!(a.take() && !b.is_rung());
+        drop(ha);
+        assert_eq!(
+            index.earliest_after(SimTime::ZERO),
+            Some(SimTime::from_micros(9))
+        );
+    }
 
     #[test]
     fn time_constructors_agree() {

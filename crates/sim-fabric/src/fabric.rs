@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use demi_memory::DemiBuffer;
 
-use crate::clock::{SimClock, SimTime};
+use crate::clock::{Doorbell, SimClock, SimTime};
 use crate::rng::SimRng;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -166,6 +166,8 @@ impl Ord for PendingFrame {
 struct Mailbox {
     queue: VecDeque<Frame>,
     capacity: usize,
+    /// Rung on every delivery: the pollers that drain this mailbox.
+    doorbells: Vec<Doorbell>,
 }
 
 struct FabricInner {
@@ -256,6 +258,9 @@ impl FabricInner {
             match self.endpoints.get_mut(&p.dst) {
                 Some(mailbox) if mailbox.queue.len() < mailbox.capacity => {
                     mailbox.queue.push_back(p.frame);
+                    for bell in &mailbox.doorbells {
+                        bell.ring();
+                    }
                     self.stats.frames_delivered += 1;
                     self.tracer.record(TraceEvent::Deliver {
                         at: now,
@@ -380,6 +385,7 @@ impl Fabric {
             Mailbox {
                 queue: VecDeque::new(),
                 capacity,
+                doorbells: Vec::new(),
             },
         );
         assert!(prev.is_none(), "endpoint {mac} registered twice");
@@ -507,6 +513,13 @@ impl Endpoint {
             .endpoints
             .get_mut(&self.mac)
             .and_then(|m| m.queue.pop_front())
+    }
+
+    /// Rings `bell` whenever a frame lands in this endpoint's mailbox.
+    pub fn ring_on_delivery(&self, bell: Doorbell) {
+        if let Some(m) = self.fabric.inner.borrow_mut().endpoints.get_mut(&self.mac) {
+            m.doorbells.push(bell);
+        }
     }
 
     /// Number of frames waiting in this endpoint's mailbox.
@@ -717,6 +730,22 @@ mod tests {
         assert_eq!(a.pending_rx(), 0);
         fabric.advance_to(SimTime::from_micros(100));
         assert_eq!(a.pending_rx(), 1);
+    }
+
+    #[test]
+    fn delivery_rings_the_mailbox_doorbells() {
+        let fabric = Fabric::new(1);
+        let (a, b) = two_endpoints(&fabric);
+        let bell = Doorbell::new();
+        b.ring_on_delivery(bell.clone());
+        a.transmit(b.mac(), vec![1]);
+        fabric.deliver_due();
+        assert!(
+            !bell.is_rung(),
+            "nothing is delivered before the link latency"
+        );
+        assert!(fabric.advance_to_next_event());
+        assert!(bell.take());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod rng;
 pub mod trace;
 
 pub use caps::{DeviceCaps, DeviceCategory};
-pub use clock::{SimClock, SimTime};
+pub use clock::{DeadlineHandle, DeadlineIndex, Doorbell, SimClock, SimTime};
 pub use fabric::{Endpoint, Fabric, FabricStats, Frame, LinkConfig, MacAddress};
 pub use rng::SimRng;
 pub use trace::{TraceEvent, Tracer};

@@ -5,7 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use sim_fabric::{SimClock, SimTime};
+use sim_fabric::{DeadlineHandle, SimClock, SimTime};
 
 use crate::latency::FlashLatencyModel;
 
@@ -160,6 +160,9 @@ struct Inner {
     qpairs: HashMap<QpairId, Qpair>,
     next_qpair: u32,
     stats: NvmeStats,
+    /// Where the earliest pending completion instant is published, once
+    /// a runtime asked for it ([`NvmeDevice::publish_deadlines`]).
+    deadline: Option<DeadlineHandle>,
 }
 
 /// One simulated NVMe namespace behind SPDK-style queue pairs.
@@ -185,6 +188,7 @@ impl NvmeDevice {
                 qpairs: HashMap::new(),
                 next_qpair: 1,
                 stats: NvmeStats::default(),
+                deadline: None,
             })),
         }
     }
@@ -326,6 +330,9 @@ impl NvmeDevice {
             out.push(inner.execute(item));
         }
         inner.qpairs.insert(qpair, qp);
+        if !out.is_empty() {
+            inner.publish_deadline();
+        }
         out
     }
 
@@ -340,12 +347,16 @@ impl NvmeDevice {
 
     /// Earliest pending completion instant across all queue pairs.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.inner
-            .borrow()
-            .qpairs
-            .values()
-            .filter_map(|q| q.in_flight.front().map(|c| c.complete_at))
-            .min()
+        self.inner.borrow().next_deadline()
+    }
+
+    /// From now on, publishes [`NvmeDevice::next_deadline`] through
+    /// `deadline` whenever a submission or a reaped completion changes it,
+    /// so the runtime rings the completion poller when a command is due.
+    pub fn publish_deadlines(&self, deadline: DeadlineHandle) {
+        let mut inner = self.inner.borrow_mut();
+        inner.deadline = Some(deadline);
+        inner.publish_deadline();
     }
 
     /// Device counters.
@@ -355,6 +366,19 @@ impl NvmeDevice {
 }
 
 impl Inner {
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.qpairs
+            .values()
+            .filter_map(|q| q.in_flight.front().map(|c| c.complete_at))
+            .min()
+    }
+
+    fn publish_deadline(&self) {
+        if let Some(handle) = &self.deadline {
+            handle.set(self.next_deadline());
+        }
+    }
+
     fn check_range(&self, lba: u64, blocks: u64) -> Result<(), NvmeError> {
         let end = lba.checked_add(blocks).ok_or(NvmeError::OutOfRange)?;
         if blocks == 0 || end > self.config.namespace_blocks {
@@ -385,6 +409,7 @@ impl Inner {
             complete_at,
             command,
         });
+        self.publish_deadline();
         Ok(())
     }
 
@@ -572,17 +597,25 @@ mod tests {
         assert_eq!(s.blocks_read, 2);
     }
 
+    /// The earliest completion, pulled and as published to a runtime's
+    /// deadline index on every submission and reap.
     #[test]
     fn next_deadline_reports_earliest_completion() {
         let (clock, dev) = device();
+        let index = sim_fabric::DeadlineIndex::new();
+        dev.publish_deadlines(index.handle(sim_fabric::Doorbell::new()));
+        let published = || index.earliest_after(SimTime::ZERO);
         let qp1 = dev.alloc_qpair();
         let qp2 = dev.alloc_qpair();
         dev.submit_write(qp1, 1, 0, &vec![0u8; BLOCK_SIZE]).unwrap(); // 20µs
+        assert_eq!(published(), Some(SimTime::from_micros(20)));
         dev.submit_read(qp2, 2, 0, 1).unwrap(); // 10µs
         assert_eq!(dev.next_deadline(), Some(SimTime::from_micros(10)));
+        assert_eq!(published(), dev.next_deadline());
         clock.advance_by(SimTime::from_micros(10));
         let _ = dev.poll_completions(qp2, 8);
         assert_eq!(dev.next_deadline(), Some(SimTime::from_micros(20)));
+        assert_eq!(published(), dev.next_deadline());
     }
 
     /// Writes a block whose `pointer_offset` bytes name `next`, with the

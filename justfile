@@ -63,7 +63,7 @@ verify-all:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Hostbench smoke: every benchmark workload for one second at seed 1.
+# Hostbench smoke: every benchmark workload for one second at seeds 1 and 7.
 # Each run must exit 0 (correct replies, no lost acknowledged SET, a
 # passing determinism self-check) and print its pinned virtual-time
 # digest.

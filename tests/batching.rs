@@ -8,7 +8,9 @@ use std::net::Ipv4Addr;
 use demi_memory::DemiBuffer;
 use demi_sched::Condition;
 use demi_telemetry::alloc::{self, CountingAlloc};
-use demikernel::types::{OperationResult, QToken};
+use demikernel::libos::{LibOs, SocketKind};
+use demikernel::testing::{catnip_pair, host_ip};
+use demikernel::types::{OperationResult, QToken, Sga};
 use demikernel::Runtime;
 use dpdk_sim::{DpdkPort, PortConfig};
 use net_stack::tcp::State;
@@ -244,6 +246,48 @@ fn wait_any_does_not_rescan_tokens_every_pass() {
     for qt in tokens {
         rt.wait(qt, None).unwrap();
     }
+}
+
+/// The pump runs a device poller only when its doorbell rang. A warmed
+/// catnip↔catnip UDP echo rings each host's shard twice per round trip:
+/// once for the datagram pushed onto its TX ring, once for the delivery of
+/// the other side's datagram. That is at most four gated poller runs per
+/// echo, where running every shard's poller on every pump took fourteen.
+#[test]
+fn warmed_udp_echo_runs_at_most_four_gated_pollers_per_echo() {
+    const WARM: usize = 50;
+    const ECHOES: usize = 200;
+    let (rt, _fabric, client, server) = catnip_pair(1);
+    let cq = client.socket(SocketKind::Udp).unwrap();
+    client.bind(cq, SocketAddr::new(host_ip(1), 5000)).unwrap();
+    let sq = server.socket(SocketKind::Udp).unwrap();
+    let server_addr = SocketAddr::new(host_ip(2), 7);
+    server.bind(sq, server_addr).unwrap();
+    let mut client_pop = client.pop(cq).unwrap();
+    let mut server_pop = server.pop(sq).unwrap();
+    let mut echo = |n: usize| {
+        for i in 0..n {
+            let request = Sga::from_slice(&(i as u64).to_le_bytes());
+            let push = client.pushto(cq, &request, server_addr).unwrap();
+            client.wait(push, None).unwrap();
+            let (from, got) = server.wait(server_pop, None).unwrap().expect_pop();
+            let reply = server.pushto(sq, &got, from.unwrap()).unwrap();
+            server.wait(reply, None).unwrap();
+            server_pop = server.pop(sq).unwrap();
+            let (_, back) = client.wait(client_pop, None).unwrap().expect_pop();
+            client_pop = client.pop(cq).unwrap();
+            assert_eq!(back.to_vec(), request.to_vec());
+        }
+    };
+    echo(WARM);
+    rt.metrics().reset();
+    echo(ECHOES);
+    let runs = rt.metrics().snapshot().poller_runs;
+    assert!(runs > 0, "the echo moved frames without polling a device");
+    assert!(
+        runs <= 4 * ECHOES as u64,
+        "{runs} gated poller runs for {ECHOES} echoes (> 4 per echo)"
+    );
 }
 
 /// The `wait_any` entry pass indexes the qtoken table in place: resolving
