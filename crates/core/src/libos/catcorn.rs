@@ -42,6 +42,8 @@ use crate::types::{DemiError, OperationResult, QDesc, QToken, Sga};
 pub const SLOT_SIZE: usize = 16 * 1024;
 /// Slots per ring.
 pub const RING_SLOTS: usize = 32;
+/// Completions the pump takes off the CQ per run.
+const CQ_BATCH: usize = 64;
 
 struct Conn {
     qp: QpId,
@@ -110,15 +112,20 @@ struct Core {
 impl Core {
     /// Drives the device, signals the CM channel if the device raised a
     /// connection-manager event, and dispatches completions to their
-    /// connections, waking parked coroutines. Returns how many work items
-    /// (frames + completions) were processed.
-    fn pump(&self, now: sim_fabric::SimTime) -> usize {
+    /// connections, waking parked coroutines. A full batch may leave
+    /// completions on the CQ that no frame or deadline will ring for, so
+    /// it rings `bell` again. Returns how many work items (frames +
+    /// completions) were processed.
+    fn pump(&self, now: sim_fabric::SimTime, bell: &Doorbell) -> usize {
         let frames = self.device.poll(now);
         let cm_events = self.device.cm_events();
         if std::mem::replace(&mut self.inner.borrow_mut().cm_seen, cm_events) != cm_events {
             self.cm.notify_waiters();
         }
-        let completions = self.device.poll_cq(self.cq, 64);
+        let completions = self.device.poll_cq(self.cq, CQ_BATCH);
+        if completions.len() == CQ_BATCH {
+            bell.ring();
+        }
         let work = frames + completions.len();
         if completions.is_empty() {
             return work;
@@ -216,7 +223,8 @@ impl Catcorn {
         let clock = runtime.clock().clone();
         let bell = Doorbell::new();
         device.ring_on_rx(bell.clone());
-        let deadline = runtime.register_gated_poller(bell, move || pump.pump(clock.now()));
+        let deadline =
+            runtime.register_gated_poller(bell.clone(), move || pump.pump(clock.now(), &bell));
         device.publish_deadlines(deadline);
         catcorn
     }

@@ -142,3 +142,49 @@ fn device_caps_report_reliable_transport() {
     assert!(caps.reliable_transport);
     assert!(!caps.buffer_management, "that part is catcorn's job");
 }
+
+#[test]
+fn completions_beyond_one_cq_batch_are_all_dispatched() {
+    // Three connections share the client's one CQ. A partition fails
+    // every queue pair at the same RTO instant, and each flushes its full
+    // send ring: 3 × RING_SLOTS completions land on the CQ in one device
+    // poll, more than the pump takes in one run, and no frame or deadline
+    // follows to ring its bell again.
+    let fabric = Fabric::new(31);
+    let rt = Runtime::with_fabric(fabric.clone());
+    let client = Catcorn::new(&rt, &fabric, MacAddress::from_last_octet(1));
+    let server = Catcorn::new(&rt, &fabric, MacAddress::from_last_octet(2));
+    let lqd = server.socket(SocketKind::Tcp).unwrap();
+    server.bind(lqd, SocketAddr::new(ip(2), 18515)).unwrap();
+    server.listen(lqd, 8).unwrap();
+    let mut cqds = Vec::new();
+    for _ in 0..3 {
+        let aqt = server.accept(lqd).unwrap();
+        let cqd = client.socket(SocketKind::Tcp).unwrap();
+        let cqt = client.connect(cqd, SocketAddr::new(ip(2), 18515)).unwrap();
+        server.wait(aqt, None).unwrap().expect_accept();
+        client.wait(cqt, None).unwrap();
+        cqds.push(cqd);
+    }
+    fabric.partition(
+        MacAddress::from_last_octet(1),
+        MacAddress::from_last_octet(2),
+    );
+    let pushes: Vec<QToken> = cqds
+        .iter()
+        .flat_map(|&cqd| std::iter::repeat_n(cqd, RING_SLOTS))
+        .map(|cqd| {
+            client
+                .push(cqd, &Sga::from_slice(b"into the void"))
+                .unwrap()
+        })
+        .collect();
+    assert!(pushes.len() > 64, "more completions than one CQ batch");
+    let results = client.wait_all(&pushes, None).unwrap();
+    assert!(
+        results
+            .iter()
+            .all(|r| matches!(r, OperationResult::Failed(DemiError::Rdma(_)))),
+        "every push fails with a transport error: {results:?}"
+    );
+}

@@ -235,8 +235,14 @@ impl DpdkPort {
         self.inner.borrow().rx_rings[queue as usize].len()
     }
 
-    /// Rings `bell` whenever the fabric delivers a frame to this port.
+    /// Rings `bell` whenever the fabric delivers a frame to this port and
+    /// when a cross-thread ingress ring is attached (now, if one already
+    /// is): injected frames ring nothing, so the poller must keep itself
+    /// rung from then on ([`DpdkPort::has_rx_ingress`]).
     pub fn ring_on_rx(&self, bell: Doorbell) {
+        if self.has_rx_ingress() {
+            bell.ring();
+        }
         self.inner.borrow().endpoint.ring_on_delivery(bell);
     }
 
@@ -269,6 +275,7 @@ impl DpdkPort {
         );
         let (injector, rx) = crate::mtq::channel(queue, capacity);
         inner.ingress[queue as usize] = Some(rx);
+        inner.endpoint.ring_doorbells();
         injector
     }
 
@@ -675,6 +682,21 @@ mod tests {
         assert_eq!(got[0].queue, 1);
         assert_eq!(b.stats().rx_frames, 16);
         assert_eq!(b.queue_stats()[1].enqueued, 16);
+    }
+
+    #[test]
+    fn attaching_an_ingress_ring_rings_the_rx_bells() {
+        let fabric = Fabric::new(1);
+        let port = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(2)));
+        let early = Doorbell::new();
+        port.ring_on_rx(early.clone());
+        assert!(!early.is_rung());
+        let _inj = port.attach_rx_ingress(0, 8);
+        assert!(early.is_rung(), "a bell registered before the attach");
+        let late = Doorbell::new();
+        port.ring_on_rx(late.clone());
+        assert!(late.is_rung(), "a bell registered after the attach");
+        assert!(port.has_rx_ingress());
     }
 
     #[test]

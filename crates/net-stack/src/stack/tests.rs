@@ -497,6 +497,37 @@ fn a_cross_thread_inbox_keeps_its_shard_rung() {
 }
 
 #[test]
+fn a_cross_thread_ingress_ring_keeps_its_shard_rung() {
+    let fabric = Fabric::new(1234);
+    let port = DpdkPort::new(&fabric, PortConfig::basic(MacAddress::from_last_octet(1)));
+    let a = NetworkStack::new(port.clone(), fabric.clock(), StackConfig::new(ip(1)));
+    a.poll_shard(0);
+    assert!(
+        !a.doorbell(0).is_rung(),
+        "an idle pass leaves its bell quiet"
+    );
+    let mut inj = port.attach_rx_ingress(0, 8);
+    assert!(
+        a.doorbell(0).is_rung(),
+        "attaching an ingress ring rings its shard"
+    );
+    std::thread::spawn(move || assert!(inj.inject(vec![0; 60])))
+        .join()
+        .unwrap();
+    let before = a.stats().rx_frames;
+    a.poll_shard(0);
+    assert_eq!(
+        a.stats().rx_frames,
+        before + 1,
+        "the injected frame was polled"
+    );
+    assert!(
+        a.doorbell(0).is_rung(),
+        "no bell announces an injected frame, so the shard stays rung"
+    );
+}
+
+#[test]
 fn a_staged_tenant_frame_rings_its_shard() {
     use demi_memory::{BufferPool, DEFAULT_HEADROOM};
     use demi_tenant::{TenantRegistry, TenantSpec};

@@ -442,9 +442,7 @@ impl TcpPeer {
         let port = cb.local().port;
         let remote = cb.remote();
         for kind in 0..TIMER_KINDS {
-            if let Some(deadline) = e.timers.deadline[kind].take() {
-                self.wheel.note_cancelled(deadline);
-            }
+            e.timers.deadline[kind] = None;
             e.timers.gen[kind] += 1;
         }
         e.gen = (e.gen + 1) % self.gen_limit.max(1);
@@ -501,9 +499,6 @@ impl TcpPeer {
         let deadlines = cb.timer_deadlines();
         for (kind, &deadline) in deadlines.iter().enumerate() {
             if e.timers.deadline[kind] != deadline {
-                if let Some(old) = e.timers.deadline[kind] {
-                    wheel.note_cancelled(old);
-                }
                 e.timers.gen[kind] += 1;
                 e.timers.deadline[kind] = deadline;
                 if let Some(t) = deadline {
@@ -927,7 +922,6 @@ impl TcpPeer {
             }
             let rec = self.tw.remove(&key).expect("checked above");
             self.tw_by_id.remove(&rec.owner_id);
-            self.wheel.forget_earliest();
             if rec.ephemeral {
                 self.bound_ports.remove(&rec.local_port);
                 self.released_ports.push(rec.local_port);
@@ -941,7 +935,6 @@ impl TcpPeer {
     fn drop_tw_by_id(&mut self, owner: u32) {
         if let Some(key) = self.tw_by_id.remove(&owner) {
             if let Some(rec) = self.tw.remove(&key) {
-                self.wheel.forget_earliest();
                 if rec.ephemeral {
                     self.bound_ports.remove(&rec.local_port);
                     self.released_ports.push(rec.local_port);
@@ -1030,7 +1023,6 @@ impl TcpPeer {
         if hdr.flags.rst {
             let rec = self.tw.remove(&key).expect("checked above");
             self.tw_by_id.remove(&rec.owner_id);
-            self.wheel.forget_earliest();
             if rec.ephemeral {
                 self.bound_ports.remove(&rec.local_port);
                 self.released_ports.push(rec.local_port);
@@ -1043,7 +1035,6 @@ impl TcpPeer {
             let expiry = now.saturating_add(self.config.msl.saturating_mul(2));
             let rec = self.tw.get_mut(&key).expect("checked above");
             rec.wheel_gen = rec.wheel_gen.wrapping_add(1);
-            self.wheel.forget_earliest();
             let reply = (
                 rec.remote.ip,
                 TcpSegmentOut {
@@ -1476,13 +1467,18 @@ impl TcpPeer {
         }
     }
 
+    /// The wheel's earliest live deadline; the stale entries the wheel
+    /// discarded on the way are counted.
     fn wheel_next_deadline(&mut self) -> Option<SimTime> {
         let (wheel, live) = self.wheel_and_liveness();
-        wheel.earliest_live(live)
+        let before = wheel.len();
+        let deadline = wheel.earliest_live(live);
+        counters::add(TIMERS_STALE, (before - wheel.len()) as u64);
+        deadline
     }
 
     /// The wheel, plus the test deciding whether one of its entries is
-    /// still armed (stale entries are counted as they are discarded).
+    /// still armed.
     fn wheel_and_liveness(
         &mut self,
     ) -> (
@@ -1500,7 +1496,7 @@ impl TcpPeer {
         } = self;
         let (first, stride) = (*first_id, *id_stride);
         let live = move |tkey: &TimerKey| {
-            let live = if tkey.kind == TW_KIND {
+            if tkey.kind == TW_KIND {
                 tw_by_id
                     .get(&tkey.conn.0)
                     .and_then(|k| tw.get(k))
@@ -1511,11 +1507,7 @@ impl TcpPeer {
                         e.gen == gen && e.cb.is_some() && e.timers.gen[tkey.kind] == tkey.gen
                     })
                 })
-            };
-            if !live {
-                counters::count(TIMERS_STALE);
             }
-            live
         };
         (wheel, live)
     }

@@ -26,16 +26,18 @@
 //! earliest-deadline answer exact (a stale earliest entry must not hide
 //! `None`).
 //!
-//! The earliest live deadline is kept incrementally: a cached answer that
-//! a schedule lowers, and that only the owner's report of a cancelled
-//! earliest entry ([`TimerWheel::note_cancelled`]) or a firing advance
-//! invalidates. Recomputing it does not walk every slot: per-level
+//! The earliest live deadline is kept incrementally: the wheel caches the
+//! earliest live entry, deadline and key. A schedule lowers the cache;
+//! while the cached key stays live nothing else can undercut it, so
+//! [`TimerWheel::earliest_live`] answers from the cache after one liveness
+//! check and recomputes only when the cached entry died or a firing
+//! advance removed it. Recomputing does not walk every slot: per-level
 //! occupancy bitmaps name the non-empty slots, and within one level the
 //! slots after the cursor hold strictly later deadlines in cursor order,
 //! so each level stops at its first slot holding a live entry.
 //! [`TimerWheel::peek_earliest_live`], the linear walk over every slot,
-//! serves owners that report no cancellations (demi-kv's TTL index) and
-//! is the reference the differential tests compare against.
+//! serves demi-kv's TTL index and is the reference the differential
+//! tests compare against.
 
 use sim_fabric::SimTime;
 
@@ -71,8 +73,9 @@ pub struct TimerWheel<T> {
     /// hold entries (a set bit over an empty slot is allowed; a clear bit
     /// over a non-empty one is not).
     occupied: [u64; LEVELS],
-    /// The earliest live deadline, when known (`Some(None)`: none live).
-    earliest: Option<Option<u64>>,
+    /// The earliest live entry's deadline and key, when known
+    /// (`Some(None)`: none live).
+    earliest: Option<Option<(u64, T)>>,
     now: u64,
     seq: u64,
     len: usize,
@@ -114,25 +117,11 @@ impl<T: Copy> TimerWheel<T> {
         self.seq += 1;
         self.len += 1;
         if let Some(earliest) = &mut self.earliest {
-            if earliest.is_none_or(|e| entry.deadline < e) {
-                *earliest = Some(entry.deadline);
+            if earliest.is_none_or(|(e, _)| entry.deadline < e) {
+                *earliest = Some((entry.deadline, key));
             }
         }
         self.place(entry);
-    }
-
-    /// The owner abandoned an entry due at `deadline` (bumped its
-    /// generation, freed its connection). Only the cached earliest answer
-    /// can go stale, and only when this was it.
-    pub fn note_cancelled(&mut self, deadline: SimTime) {
-        if self.earliest == Some(Some(deadline.as_nanos())) {
-            self.earliest = None;
-        }
-    }
-
-    /// The owner abandoned an entry whose deadline it does not know.
-    pub fn forget_earliest(&mut self) {
-        self.earliest = None;
     }
 
     fn place(&mut self, entry: Entry<T>) {
@@ -223,16 +212,20 @@ impl<T: Copy> TimerWheel<T> {
     }
 
     /// The earliest deadline among entries for which `live` returns true —
-    /// the cached answer, or one recomputed through the occupancy bitmaps.
-    /// Dead entries met on the way are discarded, so a stale earliest entry
-    /// can never mask the true answer (or a `None`). `live` must agree with
-    /// the owner's [`TimerWheel::note_cancelled`] reports: an entry turns
-    /// dead only through one.
+    /// the cached entry's while it is still live, else one recomputed
+    /// through the occupancy bitmaps. Dead entries met on the way are
+    /// discarded, so a stale earliest entry can never mask the true answer
+    /// (or a `None`). `live` must never revive a key it once rejected:
+    /// entries turn live only through [`TimerWheel::schedule`].
     pub fn earliest_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<SimTime> {
-        if let Some(earliest) = self.earliest {
-            return earliest.map(SimTime::from_nanos);
+        match self.earliest {
+            Some(None) => return None,
+            Some(Some((deadline, key))) if live(&key) => {
+                return Some(SimTime::from_nanos(deadline));
+            }
+            _ => {}
         }
-        let mut best: Option<u64> = None;
+        let mut best: Option<(u64, T)> = None;
         let mut removed = 0usize;
         // Keeps the live entries of `bucket`, folding them into `best`;
         // returns whether any was live.
@@ -241,8 +234,8 @@ impl<T: Copy> TimerWheel<T> {
             bucket.retain(|e| {
                 if live(&e.key) {
                     found = true;
-                    if best.is_none_or(|b| e.deadline < b) {
-                        best = Some(e.deadline);
+                    if best.is_none_or(|(b, _)| e.deadline < b) {
+                        best = Some((e.deadline, e.key));
                     }
                     true
                 } else {
@@ -274,13 +267,12 @@ impl<T: Copy> TimerWheel<T> {
         scan(&mut self.overflow);
         self.len -= removed;
         self.earliest = Some(best);
-        best.map(SimTime::from_nanos)
+        best.map(|(deadline, _)| SimTime::from_nanos(deadline))
     }
 
     /// The earliest deadline among entries for which `live` returns true,
-    /// by a linear walk over every slot: for owners that report no
-    /// cancellations, and the reference [`TimerWheel::earliest_live`] is
-    /// tested against. Dead entries encountered on the way are discarded.
+    /// by a linear walk over every slot: the reference
+    /// [`TimerWheel::earliest_live`] is tested against. Dead entries encountered on the way are discarded.
     pub fn peek_earliest_live(&mut self, mut live: impl FnMut(&T) -> bool) -> Option<SimTime> {
         let mut best: Option<u64> = None;
         let mut removed = 0usize;
@@ -375,6 +367,28 @@ mod tests {
         assert_eq!(w.len(), 1, "the dead entry was discarded");
         assert_eq!(w.peek_earliest_live(|_| false), None);
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn earliest_live_follows_schedules_deaths_and_firings() {
+        let mut w: TimerWheel<u32> = TimerWheel::new(SimTime::ZERO);
+        assert_eq!(w.earliest_live(|_| true), None);
+        w.schedule(t(300), 1);
+        w.schedule(t(100), 2);
+        w.schedule(t(200), 3);
+        assert_eq!(
+            w.earliest_live(|_| true),
+            Some(t(100)),
+            "lowered by schedule"
+        );
+        assert_eq!(
+            w.earliest_live(|&k| k != 2),
+            Some(t(200)),
+            "a dead key is passed over"
+        );
+        // A fired entry leaves the wheel even when its key stays live.
+        assert_eq!(w.advance(t(250)), vec![(t(200), 3)]);
+        assert_eq!(w.earliest_live(|_| true), Some(t(300)));
     }
 
     #[test]

@@ -522,6 +522,14 @@ impl Endpoint {
         }
     }
 
+    /// Rings every bell given to [`Endpoint::ring_on_delivery`]: for
+    /// input that reaches the endpoint's owner around the fabric.
+    pub fn ring_doorbells(&self) {
+        if let Some(m) = self.fabric.inner.borrow().endpoints.get(&self.mac) {
+            m.doorbells.iter().for_each(Doorbell::ring);
+        }
+    }
+
     /// Number of frames waiting in this endpoint's mailbox.
     pub fn pending_rx(&self) -> usize {
         self.fabric

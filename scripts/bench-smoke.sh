@@ -292,7 +292,7 @@ counters[kv_open_write/7]="
     tcp.acks_coalesced=1351
     tcp.timers_scheduled=4450
     tcp.timers_fired=874
-    tcp.timers_stale=3576
+    tcp.timers_stale=3575
     tcp.demux_lookups=3988
     tcp.demux_cache_hits=1158
     stack.rx_budget_exhausted=0
